@@ -16,8 +16,9 @@ and a generic lattice file:
     ...
 
 ``leq``/``sleq`` lines are closed reflexively and transitively; every
-``act s x y`` entry (meaning s.x = y) must be present exactly once.  Blank
-lines and ``#`` comments are ignored.
+``act s x y`` entry (meaning s.x = y) must be present exactly once, with s a
+poset element and x, y lattice elements.  Blank lines and ``#`` comments are
+ignored.
 
 Commands: submodules, spectra, pshollow, represent, minimize, verify, hasse.
 Exit codes: 0 all pass, 1 any failing claim, 2 only hypothesis-unmet claims,
@@ -138,7 +139,7 @@ def _parse_module(rows, bound) -> FiniteModule:
 def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
     lat_size = pos_size = None
     leq, sleq = [], []
-    acts: dict[tuple[int, int], int] = {}
+    acts: dict[tuple[int, int], tuple[int, int]] = {}  # (s, x) -> (y, line)
     for lineno, words in rows:
         key, rest = words[0], words[1:]
         if key == "lattice":
@@ -157,11 +158,16 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
             s, x, y = _ints(lineno, rest, 3)
             if (s, x) in acts:
                 raise ParseError(lineno, f"duplicate act entry for ({s}, {x})")
-            acts[(s, x)] = y
+            acts[(s, x)] = (y, lineno)
         else:
             raise ParseError(lineno, f"unknown directive {key!r} in lattice spec")
     if lat_size is None or pos_size is None:
         raise ParseError(None, "lattice spec needs 'lattice' and 'poset' directives")
+    for (s, x), (y, lineno) in acts.items():
+        if not (0 <= s < pos_size and 0 <= x < lat_size and 0 <= y < lat_size):
+            raise ParseError(lineno,
+                             f"act {s} {x} {y} out of range for poset size {pos_size} "
+                             f"and lattice size {lat_size}")
     try:
         lattice = build_lattice(lat_size, leq)
         poset = build_poset(pos_size, sleq)
@@ -172,7 +178,7 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
     if missing:
         raise ParseError(None, f"action table incomplete; first missing entry act "
                                f"{missing[0][0]} {missing[0][1]}")
-    table = [[acts[(s, x)] for x in range(lat_size)] for s in range(pos_size)]
+    table = [[acts[(s, x)][0] for x in range(lat_size)] for s in range(pos_size)]
     try:
         action = make_action(lattice, poset, table)
     except LatticeError as exc:
@@ -286,16 +292,23 @@ def _require_module(parsed, command: str) -> FiniteModule:
     return parsed
 
 
+def _summand_int(token: str, word: str) -> int:
+    try:
+        return int(word)
+    except ValueError:
+        raise ValidationError(f"summand {token!r}: {word!r} is not an integer") from None
+
+
 def _parse_summand_token(module: FiniteModule, token: str):
     token = token.strip()
     if not token:
         raise ValidationError("empty summand token")
     if token.startswith("(") and token.endswith(")") and len(module.factors) == 1:
-        gen = int(token[1:-1]) % module.ring.n
+        gen = _summand_int(token, token[1:-1]) % module.ring.n
         return span(module, (gen,) if gen else ())
     gens = []
     for part in token.split("+"):
-        coords = tuple(int(c) for c in part.split(":"))
+        coords = tuple(_summand_int(token, c) for c in part.split(":"))
         if len(coords) != len(module.factors):
             raise ValidationError(f"element {part!r} has wrong arity")
         coords = tuple(c % d for c, d in zip(coords, module.factors))
@@ -358,6 +371,8 @@ def cmd_pshollow(module: FiniteModule, args) -> Report:
 
 
 def cmd_represent(module: FiniteModule, args) -> Report:
+    if args.max_terms is not None and args.max_terms < 1:
+        raise ValidationError(f"--max-terms must be at least 1, got {args.max_terms}")
     report = Report(subject=module.describe())
     reps = ph.enumerate_minimal_representations(module, args.max_terms)
     report.add("representations.count", "pass", str(len(reps)))
@@ -422,6 +437,9 @@ def cmd_hasse(parsed, args) -> Report:
     highlights: dict[int, tuple[str, ...]] = {}
     if args.highlight:
         for kind in _expected_names(args.highlight):
+            if kind not in spectra.KINDS:
+                raise ValidationError(f"unknown --highlight kind {kind!r}; "
+                                      f"expected one of {', '.join(spectra.KINDS)}")
             for i in spectra.spectrum(action, kind):
                 highlights[i] = highlights.get(i, ()) + (kind,)
     dot = emit_dot(lat, labels, highlights)
@@ -439,7 +457,12 @@ def cmd_hasse(parsed, args) -> Report:
 def run(args) -> tuple[Report, int]:
     bound = args.bound
     if bound is None:
-        bound = int(os.environ.get(ORDER_BOUND_ENV, DEFAULT_ORDER_BOUND))
+        raw = os.environ.get(ORDER_BOUND_ENV, str(DEFAULT_ORDER_BOUND))
+        try:
+            bound = int(raw)
+        except ValueError:
+            raise ValidationError(f"{ORDER_BOUND_ENV} must be an integer, "
+                                  f"got {raw!r}") from None
     parsed = parse_spec(args.input, bound=bound)
     if args.command == "submodules":
         report = cmd_submodules(_require_module(parsed, args.command), args)

@@ -313,11 +313,6 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     return subs
 
 
-def submodule_index(sub: Submodule) -> int:
-    enumerate_submodules(sub.module)
-    return sub.module._cache["sub_index"][sub.members]
-
-
 def submodules_within(bound_sub: Submodule) -> tuple[Submodule, ...]:
     """All submodules of the ambient module contained in the given one."""
     cache = bound_sub.module._cache.setdefault("within", {})
@@ -343,6 +338,62 @@ def sum_of(a: Submodule, b: Submodule) -> Submodule:
 
 def sum_all(module, subs) -> Submodule:
     return reduce(sum_of, subs, zero_submodule(module))
+
+
+def is_irredundant(module, summands) -> bool:
+    """No summand lies in the sum of the others."""
+    summands = tuple(summands)
+    return not any(summands[j].le(sum_all(module, summands[:j] + summands[j + 1:]))
+                   for j in range(len(summands)))
+
+
+def irredundant_families(module, candidates, compatible=None, max_terms=None
+                         ) -> tuple[tuple[Submodule, ...], ...]:
+    """Irredundant families of candidates that sum to the whole module.
+
+    A family is drawn from candidates in their given order, no member lies in
+    the sum of the others, ``compatible(a, b)`` holds for every pair of
+    members when it is given, and there are at most ``max_terms`` members
+    when that is given.  Families come out by size, then in the order of
+    ``itertools.combinations`` over candidates.
+
+    The search is depth first over index-increasing families and extends a
+    family one member at a time.  Irredundancy and the pairwise condition
+    are hereditary: a family that breaks one has no larger family that
+    keeps it.  So a branch is cut as soon as its newest member lies in the
+    running sum, makes an earlier member redundant, or is incompatible with
+    one; and a family is not extended once it sums to the module, since any
+    further member would lie in that sum.  Nothing valid is lost.
+    """
+    if max_terms is not None and max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    whole = whole_module(module).members
+    found = []
+
+    def extend(family, total, rests, start):
+        # total is the sum of family; rests[j] is the sum of family without family[j].
+        for i in range(start, len(candidates)):
+            new = candidates[i]
+            if new.le(total):
+                continue
+            if compatible is not None and not all(compatible(old, new) for old in family):
+                continue
+            grown_total = sum_of(total, new)
+            complete = grown_total.members == whole
+            if not complete and max_terms is not None and len(family) + 1 >= max_terms:
+                continue
+            grown_rests = [sum_of(rest, new) for rest in rests]
+            if any(old.le(rest) for old, rest in zip(family, grown_rests)):
+                continue
+            grown = family + (new,)
+            if complete:
+                found.append(grown)
+            else:
+                extend(grown, grown_total, grown_rests + [total], i + 1)
+
+    extend((), zero_submodule(module), [], 0)
+    found.sort(key=len)
+    return tuple(found)
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
@@ -542,19 +593,17 @@ def find_second_submodules(module) -> tuple[Submodule, ...]:
 
 
 def find_minimal_second_representations(module) -> tuple[tuple[Submodule, ...], ...]:
-    """All irredundant families of second submodules summing to the module."""
-    seconds = find_second_submodules(module)
-    whole = whole_module(module)
-    out = []
-    for size in range(1, len(seconds) + 1):
-        for combo in itertools.combinations(seconds, size):
-            if sum_all(module, combo).members != whole.members:
-                continue
-            if any(combo[j].le(sum_all(module, combo[:j] + combo[j + 1:]))
-                   for j in range(size)):
-                continue
-            out.append(combo)
-    return tuple(out)
+    """All irredundant families of second submodules summing to the module.
+
+    Families are listed by size, then in ``itertools.combinations`` order over
+    the second submodules in canonical order; see irredundant_families for the
+    pruned search that finds them.  The result is cached on the module.
+    """
+    got = module._cache.get("second_reps")
+    if got is None:
+        got = irredundant_families(module, find_second_submodules(module))
+        module._cache["second_reps"] = got
+    return got
 
 
 def attached_annihilators(module) -> tuple[Ideal, ...]:

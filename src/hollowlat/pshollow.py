@@ -34,8 +34,10 @@ from .modules import (
     ideal_image,
     ideal_set_names,
     intersect,
+    irredundant_families,
     is_comultiplication_module,
     is_distributive_module,
+    is_irredundant,
     is_multiplication_module,
     is_second_submodule,
     is_semisimple_module,
@@ -219,8 +221,27 @@ class Representation:
         return "+".join(s.name for s in self.summands)
 
 
+def _hulls_incomparable(a: Submodule, b: Submodule) -> bool:
+    ha, hb = profile(a).hull, profile(b).hull
+    return not (ha.le(hb) or hb.le(ha))
+
+
+def is_minimal_family(module, summands) -> bool:
+    """Summand hulls pairwise incomparable and no summand redundant.
+
+    The boolean form of minimality_witnesses, which formats no names.
+    """
+    summands = tuple(summands)
+    return (all(_hulls_incomparable(a, b) for a, b in itertools.combinations(summands, 2))
+            and is_irredundant(module, summands))
+
+
 def minimality_witnesses(module, summands) -> tuple[str, ...]:
-    """Violations of the two minimality conditions, empty when minimal."""
+    """Violations of the two minimality conditions, empty when minimal.
+
+    Report paths only; is_minimal_family answers the same question as a
+    boolean.
+    """
     out = []
     profs = [profile(s) for s in summands]
     for i, j in itertools.combinations(range(len(summands)), 2):
@@ -253,8 +274,7 @@ def make_representation(module, summands) -> Representation:
     if sum_all(module, summands).order != module.size:
         raise ValueError("summands do not sum to the whole module")
     profs = tuple(profile(s) for s in summands)
-    minimal = not minimality_witnesses(module, summands)
-    return Representation(module, summands, profs, minimal)
+    return Representation(module, summands, profs, is_minimal_family(module, summands))
 
 
 def minimize(rep: Representation) -> Representation:
@@ -323,19 +343,19 @@ def minimize(rep: Representation) -> Representation:
 
 def enumerate_minimal_representations(module, max_terms: int | None = None
                                       ) -> tuple[Representation, ...]:
-    """All minimal hollow representations with at most max_terms summands."""
+    """All minimal hollow representations with at most max_terms summands.
+
+    Representations are listed by length, then in ``itertools.combinations``
+    order over the ps-hollow submodules in canonical order.  The search is
+    irredundant_families with pairwise incomparable hulls as its pairwise
+    condition, so it prunes every family that breaks either minimality
+    condition.  A minimal representation has at most as many summands as
+    there are distinct hulls, since its hulls are pairwise distinct.
+    max_terms must be at least 1 when given.
+    """
     hollows = [s for s, _ in find_ps_hollow_submodules(module)]
-    cap = len(hollows) if max_terms is None else max(1, min(max_terms, len(hollows)))
-    whole = whole_module(module)
-    out = []
-    for size in range(1, cap + 1):
-        for combo in itertools.combinations(hollows, size):
-            if sum_all(module, combo).members != whole.members:
-                continue
-            if minimality_witnesses(module, combo):
-                continue
-            out.append(make_representation(module, combo))
-    return tuple(out)
+    families = irredundant_families(module, hollows, _hulls_incomparable, max_terms)
+    return tuple(make_representation(module, family) for family in families)
 
 
 # -- uniqueness ----------------------------------------------------------------
@@ -584,8 +604,7 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
         if not unmet:
             if not all(is_second_submodule(s) for s in summands):
                 unmet.append("summands-not-all-second")
-            if any(summands[j].le(sum_all(module, summands[:j] + summands[j + 1:]))
-                   for j in range(len(summands))):
+            if not is_irredundant(module, summands):
                 unmet.append("redundant-summand")
             att = [annihilator(k).d for k in summands]
             if not all(a == b or (a % b and b % a)
@@ -614,7 +633,7 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
             unmet.append("not-distributive")
         if any(not is_ps_hollow(s) for s in summands):
             unmet.append("summand-not-ps-hollow")
-        elif minimality_witnesses(module, summands):
+        elif not is_minimal_family(module, summands):
             unmet.append("representation-not-minimal")
     if not unmet:
         for s in summands:

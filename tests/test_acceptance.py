@@ -243,3 +243,16 @@ def test_criterion_9_second_oracle_consistency(capsys):
     assert disagreements == 0
     with capsys.disabled():
         finish("9 second predicate bridge consistency", started, 30.0)
+
+
+def test_uncapped_verify_z3_cubed_terminates(tmp_path, capsys):
+    # Uncapped, the ps-hollow submodules of Z_3^3 give 2^27 candidate families
+    # to an exhaustive subset search; the pruned search must finish in budget.
+    started = time.perf_counter()
+    spec = tmp_path / "z3x3x3.spec"
+    spec.write_text("ring 3\nmodule 3 3 3\n", encoding="utf-8")
+    code = main(["verify", "--in", str(spec)])
+    assert code in (0, 2), capsys.readouterr().out
+    capsys.readouterr()
+    with capsys.disabled():
+        finish("uncapped verify on Z_3^3", started, 30.0)

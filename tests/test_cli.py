@@ -157,6 +157,52 @@ class TestExitCodes:
         assert main(["pshollow", "--in", spec]) == 3
 
 
+class TestMalformedInput:
+    """Malformed input exits with code 3 and an error line, never a traceback."""
+
+    def assert_rejected(self, argv, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_minimize_non_integer_cyclic_summand(self, tmp_path, capsys):
+        spec = write(tmp_path, "m.spec", Z12)
+        self.assert_rejected(["minimize", "--in", spec, "--summands", "(x)"], capsys)
+
+    def test_minimize_non_integer_coordinate(self, tmp_path, capsys):
+        spec = write(tmp_path, "m.spec", Z12)
+        self.assert_rejected(["minimize", "--in", spec, "--summands", "1:x"], capsys)
+
+    def test_bound_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOLLOWLAT_BOUND", "abc")
+        spec = write(tmp_path, "m.spec", Z12)
+        err = self.assert_rejected(["submodules", "--in", spec], capsys)
+        assert "HOLLOWLAT_BOUND" in err
+
+    def test_hasse_unknown_highlight_kind(self, tmp_path, capsys):
+        spec = write(tmp_path, "m.spec", Z12)
+        err = self.assert_rejected(["hasse", "--in", spec, "--highlight", "bogus"], capsys)
+        assert "bogus" in err
+
+    @pytest.mark.parametrize("text,line", [
+        (CHAIN_SPEC + "act 7 0 0\n", 6),
+        (CHAIN_SPEC + "act 0 3 0\n", 6),
+        (CHAIN_SPEC + "act -1 0 0\n", 6),
+        (CHAIN_SPEC.replace("act 0 1 1", "act 0 1 5"), 5),
+        ("lattice 1\nposet 1\nact 0 0 0\nact 7 0 0\n", 4),
+    ], ids=["poset-index", "lattice-index", "negative", "image", "one-element-poset"])
+    def test_act_entry_out_of_range(self, tmp_path, capsys, text, line):
+        spec = write(tmp_path, "l.spec", text)
+        err = self.assert_rejected(["verify", "--in", spec], capsys)
+        assert err.startswith(f"error: line {line}: ")
+
+    @pytest.mark.parametrize("max_terms", ["0", "-2"])
+    def test_represent_max_terms_below_one(self, tmp_path, capsys, max_terms):
+        spec = write(tmp_path, "m.spec", Z12)
+        self.assert_rejected(["represent", "--in", spec, "--max-terms", max_terms], capsys)
+
+
 class TestReports:
     def test_machine_report_deterministic(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)

@@ -1,5 +1,6 @@
 import itertools
 
+import oracles
 import pytest
 
 from hollowlat.modules import (
@@ -8,6 +9,7 @@ from hollowlat.modules import (
     Ring,
     ZeroSubmodule,
     enumerate_submodules,
+    find_minimal_second_representations,
     find_second_submodules,
     is_hollow_module,
     span,
@@ -29,8 +31,10 @@ from hollowlat.pshollow import (
     find_ps_hollow_submodules,
     is_hollow_ideal,
     is_minimal,
+    is_minimal_family,
     is_ps_hollow,
     make_representation,
+    minimality_witnesses,
     minimize,
     profile,
     verify_first_uniqueness,
@@ -244,12 +248,63 @@ class TestRepresentations:
         reps = enumerate_minimal_representations(z(30), max_terms=2)
         assert reps == ()
 
+    def test_enumerate_rejects_max_terms_below_one(self):
+        with pytest.raises(ValueError):
+            enumerate_minimal_representations(z(12), max_terms=0)
+
     def test_canonical_representation_found(self):
         for n in (12, 30, 60, 72, 180):
             reps = enumerate_minimal_representations(z(n))
             expected = sorted(f"({d})" for d in prime_power_complements(n))
             assert any(sorted(s.name for s in rep.summands) == expected
                        for rep in reps), n
+
+
+ORACLE_SUMS = [(2, (2, 2)), (2, (2, 2, 2)), (3, (3, 3)), (4, (4, 2)), (4, (4, 4)),
+               (6, (6, 2)), (6, (6, 6)), (7, (7, 7)), (8, (8, 2)), (9, (9, 3)),
+               (10, (10, 10)), (12, (12, 6))]
+ORACLE_MODULES = [(n, (n,)) for n in range(2, 61)] + ORACLE_SUMS
+
+
+WITNESS_MODULES = [(12, (12,)), (30, (30,)), (2, (2, 2, 2)), (4, (4, 2)), (6, (6, 6))]
+
+
+def module_id(case):
+    ring, factors = case
+    return f"ring{ring}-Z" + "x".join(map(str, factors))
+
+
+def member_sets(families):
+    return [tuple(s.members for s in family) for family in families]
+
+
+class TestSearchAgainstOracle:
+    """The pruned search lists exactly what the exhaustive subset loop lists."""
+
+    @pytest.mark.parametrize("ring,factors", ORACLE_MODULES,
+                             ids=[module_id(c) for c in ORACLE_MODULES])
+    def test_minimal_representations_match(self, ring, factors):
+        m = FiniteModule(Ring(ring), factors)
+        for max_terms in (None, 1, 2, 3):
+            got = [rep.summands for rep in enumerate_minimal_representations(m, max_terms)]
+            assert member_sets(got) == member_sets(
+                oracles.minimal_representation_families(m, max_terms)), max_terms
+
+    @pytest.mark.parametrize("ring,factors", ORACLE_MODULES,
+                             ids=[module_id(c) for c in ORACLE_MODULES])
+    def test_second_representations_match(self, ring, factors):
+        m = FiniteModule(Ring(ring), factors)
+        assert member_sets(find_minimal_second_representations(m)) == member_sets(
+            oracles.minimal_second_families(m))
+
+    @pytest.mark.parametrize("ring,factors", WITNESS_MODULES,
+                             ids=[module_id(c) for c in WITNESS_MODULES])
+    def test_boolean_minimality_agrees_with_witnesses(self, ring, factors):
+        m = FiniteModule(Ring(ring), factors)
+        hollows = [s for s, _ in find_ps_hollow_submodules(m)]
+        for size in (1, 2, 3):
+            for family in itertools.combinations(hollows, size):
+                assert is_minimal_family(m, family) == (not minimality_witnesses(m, family))
 
 
 class TestUniqueness:
