@@ -147,13 +147,13 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
                 raise ParseError(lineno, "duplicate lattice directive")
             (lat_size,) = _ints(lineno, rest, 1)
         elif key == "leq":
-            leq.append(tuple(_ints(lineno, rest, 2)))
+            leq.append((*_ints(lineno, rest, 2), lineno))
         elif key == "poset":
             if pos_size is not None:
                 raise ParseError(lineno, "duplicate poset directive")
             (pos_size,) = _ints(lineno, rest, 1)
         elif key == "sleq":
-            sleq.append(tuple(_ints(lineno, rest, 2)))
+            sleq.append((*_ints(lineno, rest, 2), lineno))
         elif key == "act":
             s, x, y = _ints(lineno, rest, 3)
             if (s, x) in acts:
@@ -163,14 +163,18 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
             raise ParseError(lineno, f"unknown directive {key!r} in lattice spec")
     if lat_size is None or pos_size is None:
         raise ParseError(None, "lattice spec needs 'lattice' and 'poset' directives")
+    for key, pairs, size in (("leq", leq, lat_size), ("sleq", sleq, pos_size)):
+        for i, j, lineno in pairs:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ParseError(lineno, f"{key} {i} {j} out of range for size {size}")
     for (s, x), (y, lineno) in acts.items():
         if not (0 <= s < pos_size and 0 <= x < lat_size and 0 <= y < lat_size):
             raise ParseError(lineno,
                              f"act {s} {x} {y} out of range for poset size {pos_size} "
                              f"and lattice size {lat_size}")
     try:
-        lattice = build_lattice(lat_size, leq)
-        poset = build_poset(pos_size, sleq)
+        lattice = build_lattice(lat_size, [(i, j) for i, j, _ in leq])
+        poset = build_poset(pos_size, [(i, j) for i, j, _ in sleq])
     except LatticeError as exc:
         raise ValidationError(str(exc)) from exc
     missing = [(s, x) for s in range(pos_size) for x in range(lat_size)

@@ -19,10 +19,6 @@ from dataclasses import dataclass, field
 # back to an on-demand scan.
 TABLE_LIMIT = 512
 
-# Exhaustive lattice-law self-check (associativity, absorption, ...) is run
-# at construction up to this size.
-LAW_CHECK_LIMIT = 64
-
 
 class LatticeError(Exception):
     """Base class for construction and validation failures."""
@@ -205,27 +201,10 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     tops = [i for i in range(size) if down[i] == full]
     if not bottoms or not tops:
         raise Unbounded("order has no global bottom or top")
-    lat = FiniteLattice(size, bottoms[0], tops[0], up, down, meet, join)
-    if size <= LAW_CHECK_LIMIT:
-        _check_laws(lat)
-    return lat
-
-
-def _check_laws(lat: FiniteLattice) -> None:
-    rng = range(lat.size)
-    for x, y in itertools.product(rng, rng):
-        if lat.meet(x, y) != lat.meet(y, x) or lat.join(x, y) != lat.join(y, x):
-            raise NotALattice(f"commutativity fails at ({x}, {y})")
-        if lat.meet(x, lat.join(x, y)) != x or lat.join(x, lat.meet(x, y)) != x:
-            raise NotALattice(f"absorption fails at ({x}, {y})")
-    for x in rng:
-        if lat.meet(x, x) != x or lat.join(x, x) != x:
-            raise NotALattice(f"idempotence fails at {x}")
-    for x, y, z in itertools.product(rng, rng, rng):
-        if lat.meet(lat.meet(x, y), z) != lat.meet(x, lat.meet(y, z)):
-            raise NotALattice(f"meet associativity fails at ({x}, {y}, {z})")
-        if lat.join(lat.join(x, y), z) != lat.join(x, lat.join(y, z)):
-            raise NotALattice(f"join associativity fails at ({x}, {y}, {z})")
+    # A finite partial order in which every pair has a unique meet and join
+    # is a lattice, so the lattice laws need no check here; the tests check
+    # them on random and submodule lattices.
+    return FiniteLattice(size, bottoms[0], tops[0], up, down, meet, join)
 
 
 def chain(size: int) -> FiniteLattice:

@@ -2,13 +2,16 @@
 
 A module is a direct sum of cyclic groups Z/d_iZ with every d_i dividing the
 ring modulus n, so scalars act as integer multiples and submodules coincide
-with subgroups.  Everything downstream (ideal action, annihilators, class
-predicates, second representations) is decided by exhaustive quantification
-over the enumerated submodules and the divisor-indexed ideals, which keeps
-each predicate usable as its own brute-force oracle.
+with subgroups.  Member sets serve to enumerate the submodules and to build
+their lattice with the ideal action (submodule_lattice), once per module and
+on first use.  Everything downstream is a query on that lattice: inclusion
+reads its order rows, sums and intersections its join and meet tables, ideal
+products its action table, and the class predicates are lattice and spectrum
+queries.  The brute-force definitions on member sets, which the tests compare
+the package against, live in tests/oracles.py.
 
 The same machinery runs on quotient structures (CosetModule), which is what
-the lifting and smallness predicates need.
+the lifting predicate needs.
 """
 
 from __future__ import annotations
@@ -16,9 +19,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
-from .lattice import FiniteLattice, PosetAction, build_lattice, build_poset, make_action
+from .lattice import (
+    FiniteLattice,
+    PosetAction,
+    _bits,
+    build_lattice,
+    build_poset,
+    is_multiplication,
+    make_action,
+)
+from .spectra import is_kind
 
 DEFAULT_ORDER_BOUND = 4096
 ORDER_BOUND_ENV = "HOLLOWLAT_BOUND"
@@ -204,11 +216,16 @@ class CosetModule:
 
 @dataclass(frozen=True)
 class Submodule:
-    """A submodule as a canonical member set with a greedy generator list."""
+    """A submodule: canonical member set, greedy generator list, lattice index.
+
+    The index is the submodule's position in enumerate_submodules(module),
+    which is also its element identifier in submodule_lattice(module).
+    """
 
     module: object
     members: frozenset[int]
     generators: tuple[int, ...]
+    index: int
 
     @property
     def order(self) -> int:
@@ -219,10 +236,10 @@ class Submodule:
         return self.order == 1
 
     def le(self, other: "Submodule") -> bool:
-        return self.members <= other.members
+        return _bridge(self.module)[1].le(self.index, other.index)
 
     def sort_key(self):
-        return (self.order, tuple(sorted(self.members)))
+        return self.index
 
     @property
     def name(self) -> str:
@@ -261,10 +278,8 @@ def _canonical_generators(module, members: frozenset[int]) -> tuple[int, ...]:
 
 
 def _as_submodule(module, members: frozenset[int]) -> Submodule:
-    index = module._cache.get("sub_index")
-    if index is not None:
-        return module._cache["submodules"][index[members]]
-    return Submodule(module, members, _canonical_generators(module, members))
+    """The enumerated submodule with exactly these members."""
+    return enumerate_submodules(module)[module._cache["sub_index"][members]]
 
 
 def span(module, gens) -> Submodule:
@@ -273,11 +288,11 @@ def span(module, gens) -> Submodule:
 
 
 def zero_submodule(module) -> Submodule:
-    return _as_submodule(module, frozenset({module.zero}))
+    return enumerate_submodules(module)[0]
 
 
 def whole_module(module) -> Submodule:
-    return _as_submodule(module, frozenset(range(module.size)))
+    return enumerate_submodules(module)[-1]
 
 
 def enumerate_submodules(module) -> tuple[Submodule, ...]:
@@ -288,56 +303,50 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     cached = module._cache.get("submodules")
     if cached is not None:
         return cached
-    found: dict[frozenset[int], Submodule] = {}
+    found: dict[frozenset[int], tuple[int, ...]] = {}  # members -> generators
 
-    def record(members: frozenset[int]) -> Submodule:
-        sub = found.get(members)
-        if sub is None:
-            sub = Submodule(module, members, _canonical_generators(module, members))
-            found[sub.members] = sub
-        return sub
+    def record(members: frozenset[int]) -> bool:
+        if members in found:
+            return False
+        found[members] = _canonical_generators(module, members)
+        return True
 
     record(frozenset({module.zero}))
     for g in range(module.size):
         record(frozenset(_closure(module, {module.zero}, (g,))))
-    work = list(found.values())
+    work = list(found)
     while work:
         a = work.pop()
-        for b in list(found.values()):
-            members = frozenset(_closure(module, a.members, b.generators))
-            if members not in found:
-                work.append(record(members))
-    subs = tuple(sorted(found.values(), key=Submodule.sort_key))
+        for gens in list(found.values()):
+            members = frozenset(_closure(module, a, gens))
+            if record(members):
+                work.append(members)
+    ordered = sorted(found, key=lambda m: (len(m), sorted(m)))
+    subs = tuple(Submodule(module, m, found[m], i) for i, m in enumerate(ordered))
     module._cache["submodules"] = subs
-    module._cache["sub_index"] = {s.members: i for i, s in enumerate(subs)}
+    module._cache["sub_index"] = {m: i for i, m in enumerate(ordered)}
     return subs
 
 
 def submodules_within(bound_sub: Submodule) -> tuple[Submodule, ...]:
     """All submodules of the ambient module contained in the given one."""
-    cache = bound_sub.module._cache.setdefault("within", {})
-    got = cache.get(bound_sub.members)
-    if got is None:
-        got = tuple(s for s in enumerate_submodules(bound_sub.module)
-                    if s.members <= bound_sub.members)
-        cache[bound_sub.members] = got
-    return got
+    subs, lat, _ = _bridge(bound_sub.module)
+    return tuple(subs[i] for i in _bits(lat.down[bound_sub.index]))
 
 
 def sum_of(a: Submodule, b: Submodule) -> Submodule:
     if a.module is not b.module:
         raise ValueError("submodules live in different modules")
-    cache = a.module._cache.setdefault("sums", {})
-    key = frozenset((a.members, b.members))
-    got = cache.get(key)
-    if got is None:
-        got = _as_submodule(a.module, frozenset(_closure(a.module, a.members, b.generators)))
-        cache[key] = got
-    return got
+    subs, lat, _ = _bridge(a.module)
+    return subs[lat.join(a.index, b.index)]
 
 
-def sum_all(module, subs) -> Submodule:
-    return reduce(sum_of, subs, zero_submodule(module))
+def sum_all(module, summands) -> Submodule:
+    subs, lat, _ = _bridge(module)
+    total = lat.bottom
+    for s in summands:
+        total = lat.join(total, s.index)
+    return subs[total]
 
 
 def is_irredundant(module, summands) -> bool:
@@ -367,7 +376,7 @@ def irredundant_families(module, candidates, compatible=None, max_terms=None
     """
     if max_terms is not None and max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    whole = whole_module(module).members
+    whole = whole_module(module)
     found = []
 
     def extend(family, total, rests, start):
@@ -379,7 +388,7 @@ def irredundant_families(module, candidates, compatible=None, max_terms=None
             if compatible is not None and not all(compatible(old, new) for old in family):
                 continue
             grown_total = sum_of(total, new)
-            complete = grown_total.members == whole
+            complete = grown_total == whole
             if not complete and max_terms is not None and len(family) + 1 >= max_terms:
                 continue
             grown_rests = [sum_of(rest, new) for rest in rests]
@@ -399,48 +408,51 @@ def irredundant_families(module, candidates, compatible=None, max_terms=None
 def intersect(a: Submodule, b: Submodule) -> Submodule:
     if a.module is not b.module:
         raise ValueError("submodules live in different modules")
-    return _as_submodule(a.module, a.members & b.members)
+    subs, lat, _ = _bridge(a.module)
+    return subs[lat.meet(a.index, b.index)]
+
+
+def _slot(module, ideal: Ideal) -> int:
+    # The poset element of the ideal in the module's action.
+    if ideal.ring != module.ring:
+        raise ValueError("ideal and submodule have different rings")
+    return module.ring.divisors.index(ideal.d)
 
 
 def ideal_apply(ideal: Ideal, sub: Submodule) -> Submodule:
     """The product (d)N = span of {d x : x in N}."""
-    module = sub.module
-    if ideal.ring != module.ring:
-        raise ValueError("ideal and submodule have different rings")
-    return _as_submodule(module, frozenset(module.smul(ideal.d, x) for x in sub.members))
+    s = _slot(sub.module, ideal)
+    subs, _, act = _bridge(sub.module)
+    return subs[act.apply(s, sub.index)]
 
 
 def ideal_image(module, ideal: Ideal) -> Submodule:
     """The submodule (d)M."""
-    cache = module._cache.setdefault("ideal_images", {})
-    got = cache.get(ideal.d)
-    if got is None:
-        got = ideal_apply(ideal, whole_module(module))
-        cache[ideal.d] = got
-    return got
+    subs, _, act = _bridge(module)
+    return subs[act.top_image(_slot(module, ideal))]
 
 
 def distinct_ideal_images(module) -> tuple[Submodule, ...]:
-    seen: dict[frozenset[int], Submodule] = {}
-    for ideal in module.ring.ideals():
-        img = ideal_image(module, ideal)
-        seen.setdefault(img.members, img)
-    return tuple(sorted(seen.values(), key=Submodule.sort_key))
+    subs, _, act = _bridge(module)
+    return tuple(subs[x] for x in sorted({act.top_image(s) for s in act.poset.elements()}))
 
 
 def annihilator(sub: Submodule) -> Ideal:
     """The ideal of scalars killing the submodule, generated by the least one."""
-    ring = sub.module.ring
-    for d in ring.divisors:
-        if all(sub.module.smul(d, x) == sub.module.zero for x in sub.members):
-            return Ideal(ring, d)
-    raise AssertionError("the zero ideal always annihilates after n steps")
+    _, lat, act = _bridge(sub.module)
+    divs = sub.module.ring.divisors
+    # The last divisor, n, generates the zero ideal, which kills everything.
+    s = next(s for s in range(len(divs)) if act.apply(s, sub.index) == lat.bottom)
+    return Ideal(sub.module.ring, divs[s])
 
 
 def kernel_of_ideal(module, ideal: Ideal) -> Submodule:
     """The submodule {m : dm = 0} annihilated by the ideal."""
-    return _as_submodule(module, frozenset(
-        x for x in range(module.size) if module.smul(ideal.d, x) == module.zero))
+    subs, lat, act = _bridge(module)
+    row = act.table[_slot(module, ideal)]
+    # The kernel contains every submodule the ideal kills, so it is the largest
+    # of them, which comes last in canonical order.
+    return subs[max(x for x in lat.elements() if row[x] == lat.bottom)]
 
 
 def quotient_module(module, kernel: Submodule) -> CosetModule:
@@ -462,19 +474,14 @@ def image_in_quotient(quot: CosetModule, sub: Submodule) -> Submodule:
 
 def is_small(sub: Submodule) -> bool:
     """N is small when N + L = M forces L = M."""
-    module = sub.module
-    for other in enumerate_submodules(module):
-        if other.order != module.size and sum_of(sub, other).order == module.size:
-            return False
-    return True
+    return small_within(sub, whole_module(sub.module))
 
 
 def small_within(sub: Submodule, ambient: Submodule) -> bool:
     """Smallness of sub inside the submodule ambient (both inside one module)."""
-    for other in submodules_within(ambient):
-        if other.members != ambient.members and sum_of(sub, other).members == ambient.members:
-            return False
-    return True
+    _, lat, _ = _bridge(sub.module)
+    top = ambient.index
+    return not any(lat.join(sub.index, y) == top for y in _bits(lat.down[top]) if y != top)
 
 
 # -- module class predicates --------------------------------------------------
@@ -483,15 +490,12 @@ def is_second_submodule(sub: Submodule) -> bool:
     """Every ideal acts on the submodule as identity or as zero."""
     if sub.is_zero:
         raise ZeroSubmodule("second is undefined on the zero submodule")
-    for ideal in sub.module.ring.ideals():
-        image = ideal_apply(ideal, sub)
-        if image.members != sub.members and not image.is_zero:
-            return False
-    return True
+    return is_kind(_bridge(sub.module)[2], sub.index, "second")
 
 
 def is_simple(sub: Submodule) -> bool:
-    return sub.order > 1 and len(submodules_within(sub)) == 2
+    """Exactly two submodules, zero and itself, lie in it."""
+    return _bridge(sub.module)[1].down[sub.index].bit_count() == 2
 
 
 def is_semisimple_module(module) -> bool:
@@ -502,58 +506,47 @@ def is_semisimple_module(module) -> bool:
 
 def is_multiplication_module(module) -> bool:
     """Every submodule is an ideal multiple of the whole module."""
-    images = {img.members for img in distinct_ideal_images(module)}
-    return all(s.members in images for s in enumerate_submodules(module))
+    return is_multiplication(_bridge(module)[2])
 
 
 def is_comultiplication_module(module) -> bool:
     """Every submodule K equals the kernel of its own annihilator."""
-    return all(kernel_of_ideal(module, annihilator(k)).members == k.members
+    return all(kernel_of_ideal(module, annihilator(k)) == k
                for k in enumerate_submodules(module))
+
+
+def _meets_distribute(lat: FiniteLattice, pairs) -> bool:
+    # Whether low meet (k join n) = (low meet k) join (low meet n) for every
+    # pair (k, n) and every element low.
+    return all(lat.meet(low, lat.join(k, n)) == lat.join(lat.meet(low, k), lat.meet(low, n))
+               for k, n in pairs for low in lat.elements())
 
 
 def is_distributive_module(module) -> bool:
     """Intersection distributes over sums, for all submodule triples."""
-    subs = enumerate_submodules(module)
-    for k, n in itertools.combinations_with_replacement(subs, 2):
-        kn = sum_of(k, n)
-        for low in subs:
-            if intersect(low, kn).members != sum_of(intersect(low, k), intersect(low, n)).members:
-                return False
-    return True
+    lat = _bridge(module)[1]
+    return _meets_distribute(lat, itertools.combinations_with_replacement(lat.elements(), 2))
 
 
 def is_pseudo_distributive_module(module) -> bool:
     """Intersection distributes over sums whose first term is an ideal multiple."""
-    subs = enumerate_submodules(module)
-    for img in distinct_ideal_images(module):
-        for n in subs:
-            imn = sum_of(img, n)
-            for low in subs:
-                if intersect(low, imn).members != sum_of(intersect(low, img),
-                                                         intersect(low, n)).members:
-                    return False
-    return True
+    _, lat, act = _bridge(module)
+    images = {act.top_image(s) for s in act.poset.elements()}
+    return _meets_distribute(lat, itertools.product(images, lat.elements()))
 
 
 def is_hollow_module(sub: Submodule) -> bool:
     """No two proper submodules of sub add up to sub."""
     if sub.is_zero:
         raise ZeroSubmodule("hollow is undefined on the zero submodule")
-    inside = submodules_within(sub)
-    for a, b in itertools.combinations_with_replacement(inside, 2):
-        if sum_of(a, b).members == sub.members:
-            if a.members != sub.members and b.members != sub.members:
-                return False
-    return True
+    return is_kind(_bridge(sub.module)[2], sub.index, "hollow")
 
 
 def is_direct_summand(sub: Submodule) -> bool:
-    module = sub.module
-    for other in enumerate_submodules(module):
-        if intersect(sub, other).is_zero and sum_of(sub, other).order == module.size:
-            return True
-    return False
+    _, lat, _ = _bridge(sub.module)
+    x = sub.index
+    return any(lat.meet(x, y) == lat.bottom and lat.join(x, y) == lat.top
+               for y in lat.elements())
 
 
 def is_lifting_module(module) -> bool:
@@ -625,23 +618,32 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
 
     Lattice element i is the i-th entry of enumerate_submodules(module); poset
     element j is the j-th divisor of n in ascending order, standing for the
-    ideal it generates.
+    ideal it generates.  Built once per module; every submodule operation
+    reads it.
     """
-    cached = module._cache.get("lattice")
+    cached = module._cache.get("bridge")
     if cached is not None:
-        return cached
+        return cached[1:]
     subs = enumerate_submodules(module)
-    pairs = [(i, j) for i, a in enumerate(subs) for j, b in enumerate(subs)
-             if a.members <= b.members]
+    pairs = [(a.index, b.index) for a in subs for b in subs if a.members <= b.members]
     lat = build_lattice(len(subs), pairs)
     divs = module.ring.divisors
     poset = build_poset(len(divs), [(i, j) for i, di in enumerate(divs)
                                     for j, dj in enumerate(divs) if di % dj == 0])
     index = module._cache["sub_index"]
-    table = [
-        [index[ideal_apply(Ideal(module.ring, d), s).members] for s in subs]
-        for d in divs
-    ]
+    table = []
+    for d in divs:
+        image = [module.smul(d, x) for x in range(module.size)]
+        table.append([index[frozenset(image[x] for x in s.members)] for s in subs])
     action = make_action(lat, poset, table)
-    module._cache["lattice"] = (lat, action)
+    module._cache["bridge"] = (subs, lat, action)
     return lat, action
+
+
+def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
+    """The module's submodules, lattice and action, built on first use."""
+    got = module._cache.get("bridge")
+    if got is None:
+        submodule_lattice(module)
+        got = module._cache["bridge"]
+    return got

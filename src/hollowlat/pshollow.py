@@ -44,12 +44,14 @@ from .modules import (
     is_simple,
     is_small,
     small_within,
+    submodule_lattice,
     submodules_within,
     sum_all,
     sum_of,
     whole_module,
 )
 from .report import Report
+from .spectra import spectrum
 
 NONSMALL_READING_FLAG = (
     "non-small inheritance reads smallness of K inside N; the moreover clause "
@@ -107,25 +109,19 @@ class HollowProfile:
 
 
 def is_ps_hollow(sub: Submodule) -> bool:
-    """Exhaustive test of: sub <= IM + L implies sub <= IM or sub <= L."""
+    """Exhaustive test of: sub <= IM + L implies sub <= IM or sub <= L.
+
+    This is the ps_hollow kind of the submodule lattice under the ideal
+    action, whose spectrum is computed once per module.
+    """
     if sub.is_zero:
         raise ZeroSubmodule("ps-hollow is undefined on the zero submodule")
     module = sub.module
-    cache = module._cache.setdefault("ps_hollow", {})
-    got = cache.get(sub.members)
+    got = module._cache.get("ps_hollow")
     if got is None:
-        got = True
-        for img in distinct_ideal_images(module):
-            if sub.le(img):
-                continue
-            for other in enumerate_submodules(module):
-                if not sub.le(other) and sub.le(sum_of(img, other)):
-                    got = False
-                    break
-            if not got:
-                break
-        cache[sub.members] = got
-    return got
+        got = frozenset(spectrum(submodule_lattice(module)[1], "ps_hollow"))
+        module._cache["ps_hollow"] = got
+    return sub.index in got
 
 
 def profile(sub: Submodule) -> HollowProfile:
@@ -133,7 +129,7 @@ def profile(sub: Submodule) -> HollowProfile:
         raise ZeroSubmodule("profiles are undefined on the zero submodule")
     module = sub.module
     cache = module._cache.setdefault("profiles", {})
-    got = cache.get(sub.members)
+    got = cache.get(sub.index)
     if got is None:
         covers = tuple(i for i in module.ring.ideals()
                        if sub.le(ideal_image(module, i)))
@@ -143,7 +139,7 @@ def profile(sub: Submodule) -> HollowProfile:
         for i in min_covers:
             hull = intersect(hull, ideal_image(module, i))
         got = HollowProfile(sub, covers, min_covers, hull, is_ps_hollow(sub))
-        cache[sub.members] = got
+        cache[sub.index] = got
     return got
 
 

@@ -7,6 +7,8 @@ captured output of a failing run) and enforces the stated time budget.
 import itertools
 import time
 
+import oracles
+
 from hollowlat import pshollow as ph
 from hollowlat import spectra
 from hollowlat.cli import main
@@ -182,29 +184,10 @@ def test_criterion_7_finite_analogs(capsys):
     whole = whole_module(klein)
     assert ph.is_ps_hollow(whole)
     assert not is_hollow_module(whole)
-    # brute-force oracles straight from the definitions
-    subs = enumerate_submodules(klein)
-    def leq(a, b):
-        return a.members <= b.members
-    from hollowlat.modules import distinct_ideal_images, intersect, sum_of
-    images = distinct_ideal_images(klein)
-    oracle_ps_hollow = all(
-        not leq(whole, sum_of(img, low)) or leq(whole, img) or leq(whole, low)
-        for img in images for low in subs)
-    oracle_hollow = all(
-        sum_of(a, b).members != whole.members
-        or a.members == whole.members or b.members == whole.members
-        for a, b in itertools.product(subs, subs))
-    assert oracle_ps_hollow and not oracle_hollow
-    oracle_pseudo_dist = all(
-        intersect(low, sum_of(img, n_)).members
-        == sum_of(intersect(low, img), intersect(low, n_)).members
-        for img in images for n_ in subs for low in subs)
-    oracle_dist = all(
-        intersect(low, sum_of(k_, n_)).members
-        == sum_of(intersect(low, k_), intersect(low, n_)).members
-        for k_ in subs for n_ in subs for low in subs)
-    assert oracle_pseudo_dist and not oracle_dist
+    # brute-force oracles straight from the definitions, on member sets
+    oracle = oracles.ModuleOracle(klein)
+    assert oracle.ps_hollow(whole.members) and not oracle.hollow(whole.members)
+    assert oracle.pseudo_distributive() and not oracle.distributive()
     with capsys.disabled():
         finish("7 finite analogs on Z_2+Z_2", started, 1.0)
 
@@ -235,10 +218,13 @@ def test_criterion_9_second_oracle_consistency(capsys):
         module = FiniteModule(Ring(n), factors)
         subs = enumerate_submodules(module)
         _, action = submodule_lattice(module)
+        oracle = oracles.ModuleOracle(module)
+        expected = {i for i, s in enumerate(subs)
+                    if not s.is_zero and oracle.second(s.members)}
         lattice_side = set(spectra.spectrum(action, "second"))
         module_side = {i for i, s in enumerate(subs)
                        if not s.is_zero and is_second_submodule(s)}
-        if lattice_side != module_side:
+        if not lattice_side == module_side == expected:
             disagreements += 1
     assert disagreements == 0
     with capsys.disabled():

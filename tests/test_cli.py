@@ -197,6 +197,15 @@ class TestMalformedInput:
         err = self.assert_rejected(["verify", "--in", spec], capsys)
         assert err.startswith(f"error: line {line}: ")
 
+    @pytest.mark.parametrize("text,line", [
+        (CHAIN_SPEC.replace("leq 0 1", "leq 0 5"), 2),
+        (CHAIN_SPEC.replace("poset 1", "poset 1\nsleq 0 3"), 4),
+    ], ids=["leq", "sleq"])
+    def test_order_pair_out_of_range(self, tmp_path, capsys, text, line):
+        spec = write(tmp_path, "l.spec", text)
+        err = self.assert_rejected(["verify", "--in", spec], capsys)
+        assert err.startswith(f"error: line {line}: ")
+
     @pytest.mark.parametrize("max_terms", ["0", "-2"])
     def test_represent_max_terms_below_one(self, tmp_path, capsys, max_terms):
         spec = write(tmp_path, "m.spec", Z12)
@@ -234,6 +243,16 @@ class TestReports:
         spec = write(tmp_path, "l.spec", CHAIN_SPEC)
         assert main(["spectra", "--in", spec]) == 0
         assert "spectrum.prime" in capsys.readouterr().out
+
+    def test_submodules_command_builds_no_lattice(self, tmp_path, capsys, monkeypatch):
+        import hollowlat.modules
+
+        def refuse(size, pairs):
+            raise AssertionError("the submodules command built the submodule lattice")
+
+        monkeypatch.setattr(hollowlat.modules, "build_lattice", refuse)
+        spec = write(tmp_path, "m.spec", Z12)
+        assert main(["submodules", "--in", spec]) == 0
 
     def test_submodules_command(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)

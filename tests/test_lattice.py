@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hollowlat.lattice import (
     AxiomViolation,
@@ -19,9 +19,15 @@ from hollowlat.lattice import (
     star_action,
     trivial_action,
 )
+from hollowlat.modules import FiniteModule, Ring, submodule_lattice
 from hollowlat.spectra import random_instance
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+
+def module_lattice(ring, *factors):
+    """The submodule lattice of the Z/ring-module with the given cyclic factors."""
+    return submodule_lattice(FiniteModule(Ring(ring), factors))[0]
 
 
 def diamond():
@@ -63,13 +69,24 @@ class TestBuildLattice:
             assert lat.join(x, x) == x
 
     @settings(max_examples=40, deadline=None)
-    @given(seeds)
-    def test_lattice_laws_random(self, seed):
-        lat = random_instance(seed).lattice
-        for x, y in itertools.product(lat.elements(), lat.elements()):
+    @given(seeds.map(lambda seed: random_instance(seed).lattice))
+    @example(module_lattice(12, 12))
+    @example(module_lattice(30, 30))
+    @example(module_lattice(2, 2, 2, 2))
+    @example(module_lattice(6, 6, 6))
+    def test_lattice_laws_random(self, lat):
+        # build_lattice does not check these: unique meets and joins imply them.
+        elements = lat.elements()
+        for x in elements:
+            assert lat.meet(x, x) == x and lat.join(x, x) == x
+        for x, y in itertools.product(elements, elements):
             assert lat.meet(x, y) == lat.meet(y, x)
+            assert lat.join(x, y) == lat.join(y, x)
             assert lat.join(x, lat.meet(x, y)) == x
             assert lat.meet(x, lat.join(x, y)) == x
+        for x, y, z in itertools.product(elements, elements, elements):
+            assert lat.meet(lat.meet(x, y), z) == lat.meet(x, lat.meet(y, z))
+            assert lat.join(lat.join(x, y), z) == lat.join(x, lat.join(y, z))
 
 
 class TestDual:

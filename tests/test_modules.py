@@ -1,3 +1,4 @@
+import oracles
 import pytest
 
 from hollowlat.lattice import is_join_distributive, is_multiplication
@@ -267,19 +268,22 @@ class TestBridge:
 
     def test_second_predicate_agrees_across_bridge(self):
         for module in (z(12), z(30), klein(), FiniteModule(Ring(4), [4, 2])):
+            oracle = oracles.ModuleOracle(module)
             subs = enumerate_submodules(module)
             _, act = submodule_lattice(module)
-            lattice_side = set(spectrum(act, "second"))
-            module_side = {i for i, s in enumerate(subs)
-                           if not s.is_zero and is_second_submodule(s)}
-            assert lattice_side == module_side
+            expected = {i for i, s in enumerate(subs)
+                        if not s.is_zero and oracle.second(s.members)}
+            assert set(spectrum(act, "second")) == expected
+            assert {i for i, s in enumerate(subs)
+                    if not s.is_zero and is_second_submodule(s)} == expected
 
     def test_bridge_action_matches_ideal_apply(self):
-        module = z(12)
-        subs = enumerate_submodules(module)
-        _, act = submodule_lattice(module)
-        divs = module.ring.divisors
-        for s, d in enumerate(divs):
-            for x, sub in enumerate(subs):
-                image = ideal_apply(Ideal(module.ring, d), sub)
-                assert subs[act.apply(s, x)].members == image.members
+        for module in (z(12), FiniteModule(Ring(4), [4, 2])):
+            oracle = oracles.ModuleOracle(module)
+            subs = enumerate_submodules(module)
+            _, act = submodule_lattice(module)
+            for s, d in enumerate(module.ring.divisors):
+                for x, sub in enumerate(subs):
+                    image = oracle.ideal_product(d, sub.members)
+                    assert subs[act.apply(s, x)].members == image
+                    assert ideal_apply(Ideal(module.ring, d), sub).members == image

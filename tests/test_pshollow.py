@@ -419,39 +419,71 @@ class TestTheoremCheckers:
 
 
 class TestCrossLayerConsistency:
+    """The lattice-backed package against the member-set definitions in oracles."""
+
     FIXTURES = ((12, (12,)), (30, (30,)), (36, (36,)), (2, (2, 2)), (4, (4, 2)))
 
     def modules(self):
         return [FiniteModule(Ring(n), factors) for n, factors in self.FIXTURES]
 
     def test_module_and_lattice_ps_hollow_agree(self):
-        # two independent evaluation paths: integer arithmetic vs action table
         from hollowlat.modules import submodule_lattice
         from hollowlat.spectra import spectrum
         for module in self.modules():
+            oracle = oracles.ModuleOracle(module)
             subs = enumerate_submodules(module)
             _, action = submodule_lattice(module)
-            lattice_side = set(spectrum(action, "ps_hollow"))
-            module_side = {i for i, s in enumerate(subs)
-                           if not s.is_zero and is_ps_hollow(s)}
-            assert lattice_side == module_side, module.describe()
+            expected = {i for i, s in enumerate(subs)
+                        if not s.is_zero and oracle.ps_hollow(s.members)}
+            assert set(spectrum(action, "ps_hollow")) == expected, module.describe()
+            assert {i for i, s in enumerate(subs)
+                    if not s.is_zero and is_ps_hollow(s)} == expected, module.describe()
+
+    def test_lattice_arithmetic_matches_member_sets(self):
+        from hollowlat.modules import (ideal_apply, intersect, is_distributive_module,
+                                       is_small, small_within, sum_of)
+        for module in self.modules():
+            oracle = oracles.ModuleOracle(module)
+            subs = enumerate_submodules(module)
+            assert is_distributive_module(module) == oracle.distributive()
+            for a, b in itertools.product(subs, subs):
+                assert sum_of(a, b).members == oracle.add(a.members, b.members)
+                assert intersect(a, b).members == a.members & b.members
+                assert small_within(a, b) == oracle.small(a.members, b.members)
+            for a in subs:
+                assert is_small(a) == oracle.small(a.members)
+                for d in module.ring.divisors:
+                    assert (ideal_apply(Ideal(module.ring, d), a).members
+                            == oracle.ideal_product(d, a.members))
+                if not a.is_zero:
+                    assert profile(a).hull.members == oracle.hull(a.members)
 
     def test_pseudo_distributive_hollow_implies_ps_hollow(self):
         from hollowlat.modules import is_pseudo_distributive_module
         for module in self.modules():
-            if not is_pseudo_distributive_module(module):
-                continue
+            oracle = oracles.ModuleOracle(module)
+            pseudo = is_pseudo_distributive_module(module)
+            assert pseudo == oracle.pseudo_distributive(), module.describe()
             for sub in enumerate_submodules(module):
-                if not sub.is_zero and is_hollow_module(sub):
-                    assert is_ps_hollow(sub), (module.describe(), sub.name)
+                if sub.is_zero:
+                    continue
+                hollow = is_hollow_module(sub)
+                assert hollow == oracle.hollow(sub.members), (module.describe(), sub.name)
+                if pseudo and hollow:
+                    assert oracle.ps_hollow(sub.members), (module.describe(), sub.name)
 
     def test_s_lifting_maximal_hollows_are_ps_hollow(self):
         from hollowlat.modules import is_s_lifting_module, maximal_hollow_submodules
         hit = 0
         for module in self.modules():
+            oracle = oracles.ModuleOracle(module)
+            hollows = [s.members for s in enumerate_submodules(module)
+                       if not s.is_zero and oracle.hollow(s.members)]
+            maximal = [h for h in hollows if not any(h < other for other in hollows)]
+            assert [s.members for s in maximal_hollow_submodules(module)] == maximal
             if not is_s_lifting_module(module):
                 continue
             hit += 1
-            for sub in maximal_hollow_submodules(module):
-                assert is_ps_hollow(sub), (module.describe(), sub.name)
+            for members in maximal:
+                assert oracle.ps_hollow(members), module.describe()
         assert hit  # Z_30 at least is s-lifting
