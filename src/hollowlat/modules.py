@@ -2,13 +2,16 @@
 
 A module is a direct sum of cyclic groups Z/d_iZ with every d_i dividing the
 ring modulus n, so scalars act as integer multiples and submodules coincide
-with subgroups.  Member sets serve to enumerate the submodules and to build
-their lattice with the ideal action (submodule_lattice), once per module and
-on first use.  Everything downstream is a query on that lattice: inclusion
-reads its order rows, sums and intersections its join and meet tables, ideal
-products its action table, and the class predicates are lattice and spectrum
-queries.  The brute-force definitions on member sets, which the tests compare
-the package against, live in tests/oracles.py.
+with subgroups.  The submodules are enumerated from the group structure: a
+module whose order has several prime divisors splits into its p-primary
+parts, whose submodule lattices multiply, and each part is enumerated from
+its cyclic subgroups (enumerate_submodules).  Their member sets serve to
+build the lattice with the ideal action (submodule_lattice), once per module
+and on first use.  Everything downstream is a query on that lattice:
+inclusion reads its order rows, sums and intersections its join and meet
+tables, ideal products its action table, and the class predicates are
+lattice and spectrum queries.  The brute-force definitions on member sets,
+which the tests compare the package against, live in tests/oracles.py.
 
 The same machinery runs on quotient structures (CosetModule), which is what
 the lifting predicate needs.
@@ -298,34 +301,92 @@ def whole_module(module) -> Submodule:
 def enumerate_submodules(module) -> tuple[Submodule, ...]:
     """All submodules, sorted by (order, member set).
 
-    Computed as the closure of the cyclic submodules under pairwise sum.
+    A module whose order has several prime divisors is the direct sum of its
+    p-primary parts, whose orders are coprime, so its submodules are exactly
+    the sums H_p1 + H_p2 + ... of one submodule from each part: each part is
+    enumerated on its own and the products are pulled back along the CRT
+    projection.  The submodules of a part (or of a module of prime power
+    order, or of a quotient) are the sums of its cyclic submodules, found by
+    walking each cyclic submodule once and closing under H + <g>.
     """
     cached = module._cache.get("submodules")
     if cached is not None:
         return cached
-    found: dict[frozenset[int], tuple[int, ...]] = {}  # members -> generators
-
-    def record(members: frozenset[int]) -> bool:
-        if members in found:
-            return False
-        found[members] = _canonical_generators(module, members)
-        return True
-
-    record(frozenset({module.zero}))
-    for g in range(module.size):
-        record(frozenset(_closure(module, {module.zero}, (g,))))
-    work = list(found)
-    while work:
-        a = work.pop()
-        for gens in list(found.values()):
-            members = frozenset(_closure(module, a, gens))
-            if record(members):
-                work.append(members)
-    ordered = sorted(found, key=lambda m: (len(m), sorted(m)))
-    subs = tuple(Submodule(module, m, found[m], i) for i, m in enumerate(ordered))
+    ordered = sorted(_member_sets(module), key=lambda m: (len(m), sorted(m)))
+    subs = tuple(Submodule(module, m, _canonical_generators(module, m), i)
+                 for i, m in enumerate(ordered))
     module._cache["submodules"] = subs
     module._cache["sub_index"] = {m: i for i, m in enumerate(ordered)}
     return subs
+
+
+def _prime_powers(n: int) -> list[int]:
+    """The prime-power factors p^v_p(n) of n, by ascending prime."""
+    out, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return out
+
+
+def _member_sets(module) -> list[frozenset[int]]:
+    """Member sets of all submodules, in no particular order."""
+    powers = _prime_powers(module.size)
+    if not isinstance(module, FiniteModule) or len(powers) < 2:
+        return _subgroups(module)
+    parts = []
+    for q in powers:
+        kept = [(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
+        # The part's order is q, which may exceed the default bound the module
+        # was checked against; q is no more than the module's own order.
+        parts.append((FiniteModule(Ring(q), [f for _, f in kept], bound=q), kept))
+    # lift inverts the CRT isomorphism: (x's image in each part) -> x.
+    lift = {}
+    for x, elem in enumerate(module.elements):
+        key = tuple(part._index[tuple(elem[i] % f for i, f in kept)] for part, kept in parts)
+        lift[key] = x
+    return [frozenset(lift[key] for key in itertools.product(*combo))
+            for combo in itertools.product(*(_subgroups(part) for part, _ in parts))]
+
+
+def _subgroups(module) -> list[frozenset[int]]:
+    """Member sets of all subgroups, as sums of cyclic subgroups.
+
+    Each cyclic subgroup <g> is walked once, as 0, g, 2g, ...; every kg with
+    k prime to the order of g generates the same subgroup, so it is not
+    walked again.  Every subgroup is a sum of cyclic ones, so closing under
+    H + <g>, with one generator g per cyclic subgroup, reaches them all.
+    """
+    gens, found = [], set()  # one generator per cyclic subgroup, and the subgroups found
+    covered = [False] * module.size
+    for g in range(module.size):
+        if covered[g]:
+            continue
+        walk = [module.zero]
+        x = g
+        while x != module.zero:
+            walk.append(x)
+            x = module.add(x, g)
+        for k in range(1, len(walk)):
+            if math.gcd(k, len(walk)) == 1:
+                covered[walk[k]] = True
+        gens.append(g)
+        found.add(frozenset(walk))
+    work = list(found)
+    while work:
+        h = work.pop()
+        for g in gens:
+            if g not in h:
+                grown = frozenset(_closure(module, h, (g,)))
+                if grown not in found:
+                    found.add(grown)
+                    work.append(grown)
+    return list(found)
 
 
 def submodules_within(bound_sub: Submodule) -> tuple[Submodule, ...]:

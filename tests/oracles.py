@@ -3,9 +3,10 @@
 The package answers every submodule question from one lattice: sums, meets
 and ideal products are table lookups and the predicates are lattice queries.
 This file keeps the definitions on member sets, so the tests compare two
-independent computations.  Only the enumerated submodules come from the
-package; every sum, meet, ideal product and hull here is computed from their
-member sets.
+independent computations.  The submodules themselves come from
+closure_submodules, the closure enumeration the package's structural one
+replaced; every sum, meet, ideal product and hull here is computed from
+their member sets.
 
 ModuleOracle holds the definitions for one module.  The search references
 are the exhaustive subset loops the package's pruned depth-first search
@@ -16,7 +17,60 @@ passes the minimality test written here from the definitions.
 
 import itertools
 
-from hollowlat.modules import enumerate_submodules
+from hollowlat.modules import Submodule
+
+
+def _closure(module, seed, gens):
+    members = set(seed)
+    queue = list(members)
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = module.add(x, g)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return members
+
+
+def _greedy_generators(module, members):
+    """Each member, in ascending order, that the earlier ones do not generate."""
+    gens = []
+    current = {module.zero}
+    for m in sorted(members):
+        if m not in current:
+            gens.append(m)
+            current = _closure(module, current, (m,))
+    return tuple(gens)
+
+
+def closure_submodules(module):
+    """All submodules by closure, in canonical order (order, then members).
+
+    Every cyclic submodule <g> is closed from scratch, then every found
+    submodule is closed with the generators of every other one until no new
+    member set appears.
+    """
+    found = {}  # members -> generators
+
+    def record(members):
+        if members in found:
+            return False
+        found[members] = _greedy_generators(module, members)
+        return True
+
+    record(frozenset({module.zero}))
+    for g in range(module.size):
+        record(frozenset(_closure(module, {module.zero}, (g,))))
+    work = list(found)
+    while work:
+        a = work.pop()
+        for gens in list(found.values()):
+            members = frozenset(_closure(module, a, gens))
+            if record(members):
+                work.append(members)
+    ordered = sorted(found, key=lambda m: (len(m), sorted(m)))
+    return tuple(Submodule(module, m, found[m], i) for i, m in enumerate(ordered))
 
 
 class ModuleOracle:
@@ -24,7 +78,7 @@ class ModuleOracle:
 
     def __init__(self, module):
         self.module = module
-        self.subs = enumerate_submodules(module)
+        self.subs = closure_submodules(module)
         self.zero = frozenset({module.zero})
         self.whole = frozenset(range(module.size))
         self.divisors = module.ring.divisors

@@ -242,3 +242,13 @@ def test_uncapped_verify_z3_cubed_terminates(tmp_path, capsys):
     capsys.readouterr()
     with capsys.disabled():
         finish("uncapped verify on Z_3^3", started, 30.0)
+
+
+def test_elementary_abelian_2_to_the_6_enumerates(capsys):
+    # Z_2^6 has order 64, far under the order bound, and 2,825 submodules
+    # (the Gaussian binomial sum); closing every found submodule with every
+    # other one's generators did not finish in 110 s.
+    started = time.perf_counter()
+    assert len(enumerate_submodules(FiniteModule(Ring(2), [2] * 6))) == 2825
+    with capsys.disabled():
+        finish("Z_2^6 enumeration", started, 60.0)

@@ -274,6 +274,12 @@ class TestReports:
         spec = write(tmp_path, "m.spec", Z30)
         assert main(["submodules", "--in", spec, "--bound", "10"]) == 3
 
+    def test_bound_flag_admits_large_prime_power_part(self, tmp_path, capsys):
+        # Z_13122 = Z_2 + Z_6561: the 3-part alone is above the default bound.
+        spec = write(tmp_path, "m.spec", "ring 13122\nmodule 13122\n")
+        assert main(["submodules", "--in", spec, "--bound", "13122"]) == 0
+        assert "PASS  submodules.count  [18]" in capsys.readouterr().out
+
     def test_bound_env_enforced(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HOLLOWLAT_BOUND", "10")
         spec = write(tmp_path, "m.spec", Z30)

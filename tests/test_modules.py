@@ -52,6 +52,33 @@ def tau(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
+def subspace_count(k, p):
+    """Subspaces of F_p^k: the sum over j of the Gaussian binomials [k choose j]_p."""
+    total = 0
+    for j in range(k + 1):
+        num = den = 1
+        for i in range(j):
+            num *= p ** (k - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+# Direct sums and p-groups on which the enumeration is compared with the
+# closure oracle, in addition to Z_n for n = 2..120.
+ENUMERATION_MODULES = [
+    (12, (12, 6)), (10, (10, 10)), (6, (6, 6)), (30, (6, 10)), (6, (2, 6, 3)),
+    (2, (2, 2, 2, 2)), (3, (3, 3, 3)), (4, (4, 2)), (9, (9, 3)), (8, (8, 4)),
+]
+
+
+def assert_matches_closure(module):
+    got, want = enumerate_submodules(module), oracles.closure_submodules(module)
+    # Submodule equality compares the module, members, generators and index.
+    assert got == want, module.describe()
+    assert [s.name for s in got] == [s.name for s in want], module.describe()
+
+
 class TestRingAndIdeals:
     def test_ideal_inclusion_is_reverse_divisibility(self):
         r = Ring(12)
@@ -85,8 +112,35 @@ class TestSpanAndEnumeration:
         assert whole.order == 4
 
     def test_cyclic_submodule_counts_are_divisor_counts(self):
-        for n in (12, 30, 36, 60):
+        for n in (12, 30, 36, 60, 1024, 1260, 3600, 4096):
             assert len(enumerate_submodules(z(n))) == tau(n)
+
+    def test_elementary_abelian_counts_are_gaussian_binomial_sums(self):
+        assert [subspace_count(k, 2) for k in range(1, 7)] == [2, 5, 16, 67, 374, 2825]
+        assert subspace_count(4, 3) == 212
+        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4)]:
+            module = FiniteModule(Ring(p), [p] * k)
+            assert len(enumerate_submodules(module)) == subspace_count(k, p), (p, k)
+
+    def test_part_orders_above_the_default_bound(self):
+        # The 3-part of Z_13122 = Z_2 + Z_6561 has order 6561 > 4096; the
+        # enumeration must not check it against the default bound.
+        assert len(enumerate_submodules(z(13122, bound=13122))) == 18
+
+    def test_cyclic_enumeration_matches_closure_oracle(self):
+        for n in range(2, 121):
+            assert_matches_closure(z(n))
+
+    @pytest.mark.parametrize("ring,factors", ENUMERATION_MODULES,
+                             ids=[f"ring{r}-" + "x".join(map(str, f)) for r, f in ENUMERATION_MODULES])
+    def test_enumeration_matches_closure_oracle(self, ring, factors):
+        assert_matches_closure(FiniteModule(Ring(ring), factors))
+
+    @pytest.mark.parametrize("ring,factors", [(12, (12,)), (4, (4, 2))], ids=["ring12-12", "ring4-4x2"])
+    def test_quotient_enumeration_matches_closure_oracle(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        for kernel in enumerate_submodules(module):
+            assert_matches_closure(quotient_module(module, kernel))
 
     def test_klein_has_five_submodules(self):
         assert len(enumerate_submodules(klein())) == 5
