@@ -59,6 +59,9 @@ from .modules import (
 from .report import Report
 
 COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verify", "hasse")
+# Largest lattice a lattice spec may declare: verify on a chain of this size
+# takes about 5 s, and about 20 s with a poset of the same size.
+LATTICE_SIZE_LIMIT = 256
 
 
 class ParseError(Exception):
@@ -146,12 +149,17 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
             if lat_size is not None:
                 raise ParseError(lineno, "duplicate lattice directive")
             (lat_size,) = _ints(lineno, rest, 1)
+            if not 1 <= lat_size <= LATTICE_SIZE_LIMIT:
+                raise ParseError(lineno, f"lattice size must be between 1 and "
+                                         f"{LATTICE_SIZE_LIMIT}, got {lat_size}")
         elif key == "leq":
             leq.append((*_ints(lineno, rest, 2), lineno))
         elif key == "poset":
             if pos_size is not None:
                 raise ParseError(lineno, "duplicate poset directive")
             (pos_size,) = _ints(lineno, rest, 1)
+            if pos_size < 1:
+                raise ParseError(lineno, f"poset size must be at least 1, got {pos_size}")
         elif key == "sleq":
             sleq.append((*_ints(lineno, rest, 2), lineno))
         elif key == "act":
@@ -172,16 +180,16 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
             raise ParseError(lineno,
                              f"act {s} {x} {y} out of range for poset size {pos_size} "
                              f"and lattice size {lat_size}")
+    # Entries are in range and unique, so a short count means a gap.
+    if len(acts) < pos_size * lat_size:
+        s, x = next((s, x) for s in range(pos_size) for x in range(lat_size)
+                    if (s, x) not in acts)
+        raise ParseError(None, f"action table incomplete; first missing entry act {s} {x}")
     try:
         lattice = build_lattice(lat_size, [(i, j) for i, j, _ in leq])
         poset = build_poset(pos_size, [(i, j) for i, j, _ in sleq])
     except LatticeError as exc:
         raise ValidationError(str(exc)) from exc
-    missing = [(s, x) for s in range(pos_size) for x in range(lat_size)
-               if (s, x) not in acts]
-    if missing:
-        raise ParseError(None, f"action table incomplete; first missing entry act "
-                               f"{missing[0][0]} {missing[0][1]}")
     table = [[acts[(s, x)][0] for x in range(lat_size)] for s in range(pos_size)]
     try:
         action = make_action(lattice, poset, table)
@@ -334,16 +342,18 @@ def cmd_submodules(module: FiniteModule, args) -> Report:
     return report
 
 
-def cmd_spectra(parsed, args) -> Report:
+def _action_view(parsed):
+    """The lattice, action, element labels and report subject of a parsed spec."""
     if isinstance(parsed, FiniteModule):
-        subs = enumerate_submodules(parsed)
-        _, action = submodule_lattice(parsed)
-        labels = [s.name for s in subs]
-        subject = parsed.describe()
-    else:
-        _, action = parsed
-        labels = [str(i) for i in range(action.lattice.size)]
-        subject = f"lattice size {action.lattice.size} poset size {action.poset.size}"
+        lat, action = submodule_lattice(parsed)
+        return lat, action, [s.name for s in enumerate_submodules(parsed)], parsed.describe()
+    lat, action = parsed
+    return (lat, action, [str(i) for i in range(lat.size)],
+            f"lattice size {lat.size} poset size {action.poset.size}")
+
+
+def cmd_spectra(parsed, args) -> Report:
+    _, action, labels, subject = _action_view(parsed)
     report = Report(subject=subject)
     report.flag(spectra.PS_HOLLOW_FLAG)
     report.flag(spectra.COPRIME_DOMAIN_FLAG)
@@ -416,9 +426,8 @@ def cmd_verify(parsed, args) -> Report:
     if isinstance(parsed, FiniteModule):
         report = module_battery(parsed)
     else:
-        _, action = parsed
-        report = Report(subject=f"lattice size {action.lattice.size} "
-                                f"poset size {action.poset.size}")
+        _, action, _, subject = _action_view(parsed)
+        report = Report(subject=subject)
         lattice_battery(action, report)
     if args.claim:
         kept = [f for f in report.findings if f.claim.startswith(args.claim)]
@@ -429,15 +438,7 @@ def cmd_verify(parsed, args) -> Report:
 
 
 def cmd_hasse(parsed, args) -> Report:
-    if isinstance(parsed, FiniteModule):
-        subs = enumerate_submodules(parsed)
-        lat, action = submodule_lattice(parsed)
-        labels = [s.name for s in subs]
-        subject = parsed.describe()
-    else:
-        lat, action = parsed
-        labels = [str(i) for i in range(lat.size)]
-        subject = f"lattice size {lat.size} poset size {action.poset.size}"
+    lat, action, labels, subject = _action_view(parsed)
     highlights: dict[int, tuple[str, ...]] = {}
     if args.highlight:
         for kind in _expected_names(args.highlight):

@@ -1,10 +1,12 @@
 """Finite bounded lattices, finite posets, and poset actions.
 
 A poset action is a map S x L -> L that is monotone in the poset argument,
-monotone in the lattice argument, and deflationary (s.x <= x).  The derived
-constructions (dual action, star action, lower intervals, quotients) all
-re-validate the three action axioms, so an invalid table never survives
-construction.
+monotone in the lattice argument, and deflationary (s.x <= x).  make_action
+checks the three action axioms where a table comes from outside the package:
+the spec parser, the module bridge and the random generator.  The derived
+constructions (dual action, star action, lower intervals, quotients) satisfy
+the axioms by construction, each for the reason its docstring gives, and
+build their tables directly; the tests check them against make_action.
 
 Order relations are stored as bitmask rows, one int per element, which keeps
 every predicate a couple of machine ops at desk scale.
@@ -40,10 +42,6 @@ class AxiomViolation(LatticeError):
     """An action table breaks one of the three action axioms."""
 
 
-class NotALattice(LatticeError):
-    """A derived quotient failed its consistency validation (internal error)."""
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -70,6 +68,15 @@ def _close_and_check(size: int, pairs) -> list[int]:
     return up
 
 
+def _transpose(up) -> tuple[int, ...]:
+    # The down rows of the order with up rows ``up``, or the other way round.
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            down[j] |= 1 << i
+    return tuple(down)
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order on elements 0..size-1."""
@@ -86,12 +93,19 @@ class FinitePoset:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.size) for j in _bits(self.up[i])]
 
+    def covers(self) -> list[tuple[int, int]]:
+        """Covering pairs (x, y): x < y with nothing strictly between, ascending."""
+        out = []
+        for x, row in enumerate(self.up):
+            strict = row & ~(1 << x)
+            beyond = 0
+            for z in _bits(strict):
+                beyond |= self.up[z] & ~(1 << z)
+            out.extend((x, y) for y in _bits(strict & ~beyond))
+        return out
+
     def dual(self) -> "FinitePoset":
-        down = [0] * self.size
-        for i in range(self.size):
-            for j in _bits(self.up[i]):
-                down[j] |= 1 << i
-        return FinitePoset(self.size, tuple(down))
+        return FinitePoset(self.size, _transpose(self.up))
 
     def linear_extension(self) -> list[int]:
         """Elements ordered so that comparabilities point forward."""
@@ -105,29 +119,18 @@ def build_poset(size: int, pairs) -> FinitePoset:
 
 
 @dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(FinitePoset):
     """A finite bounded lattice: a partial order with all binary meets and joins.
 
     Element identifiers are the integers 0..size-1.  ``bottom`` and ``top``
     are the global least and greatest elements.
     """
 
-    size: int
     bottom: int
     top: int
-    up: tuple[int, ...] = field(repr=False)    # up[i] = {j : i <= j}
     down: tuple[int, ...] = field(repr=False)  # down[i] = {j : j <= i}
     meet_table: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
     join_table: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
-
-    def le(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in _bits(self.up[i])]
 
     def meet(self, x: int, y: int) -> int:
         if self.meet_table is not None:
@@ -139,23 +142,12 @@ class FiniteLattice:
             return self.join_table[x][y]
         return _bound(self.up, x, y)
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Covering pairs (x, y): x < y with nothing strictly between."""
-        out = []
-        for x in range(self.size):
-            strict = self.up[x] & ~(1 << x)
-            for y in _bits(strict):
-                between = strict & self.down[y] & ~(1 << y)
-                if not between:
-                    out.append((x, y))
-        return out
-
     def dual(self) -> "FiniteLattice":
         return FiniteLattice(
             size=self.size,
+            up=self.down,
             bottom=self.top,
             top=self.bottom,
-            up=self.down,
             down=self.up,
             meet_table=self.join_table,
             join_table=self.meet_table,
@@ -163,12 +155,28 @@ class FiniteLattice:
 
 
 def _bound(rows: tuple[int, ...], x: int, y: int) -> int:
-    # With rows = down this is the meet, with rows = up the join.
+    # With rows = down this is the meet, with rows = up the join: the common
+    # bound whose own row is all the common bounds.
     common = rows[x] & rows[y]
-    for m in _bits(common):
-        if common & ~rows[m] == 0:
-            return m
-    raise MeetOrJoinMissing(f"no unique bound for pair ({x}, {y})")
+    return next(m for m in _bits(common) if rows[m] == common)
+
+
+def _bound_table(rows: tuple[int, ...], keep: bool):
+    """The meet table from the down rows, or the join table from the up rows.
+
+    x and y have a meet exactly when their common lower bounds are the down
+    row of some element, the meet; dually for joins.  Returns the table when
+    ``keep`` is set, else only checks that every pair has its bound.
+    """
+    owner = {row: m for m, row in enumerate(rows)}
+    table = []
+    for x, row in enumerate(rows):
+        line = tuple([owner.get(row & other, -1) for other in rows])
+        if -1 in line:
+            raise MeetOrJoinMissing(f"no unique bound for pair ({x}, {line.index(-1)})")
+        if keep:
+            table.append(line)
+    return tuple(table) if keep else None
 
 
 def build_lattice(size: int, leq_pairs) -> FiniteLattice:
@@ -182,20 +190,9 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     if size < 1:
         raise Unbounded("a lattice needs at least one element")
     up = tuple(_close_and_check(size, leq_pairs))
-    down = [0] * size
-    for i in range(size):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
-    down = tuple(down)
-    meet = join = None
-    if size <= TABLE_LIMIT:
-        meet = tuple(tuple(_bound(down, x, y) for y in range(size)) for x in range(size))
-        join = tuple(tuple(_bound(up, x, y) for y in range(size)) for x in range(size))
-    else:
-        for x in range(size):
-            for y in range(x, size):
-                _bound(down, x, y)
-                _bound(up, x, y)
+    down = _transpose(up)
+    meet = _bound_table(down, size <= TABLE_LIMIT)
+    join = _bound_table(up, size <= TABLE_LIMIT)
     full = (1 << size) - 1
     bottoms = [i for i in range(size) if up[i] == full]
     tops = [i for i in range(size) if down[i] == full]
@@ -204,7 +201,7 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     # A finite partial order in which every pair has a unique meet and join
     # is a lattice, so the lattice laws need no check here; the tests check
     # them on random and submodule lattices.
-    return FiniteLattice(size, bottoms[0], tops[0], up, down, meet, join)
+    return FiniteLattice(size, up, bottoms[0], tops[0], down, meet, join)
 
 
 def chain(size: int) -> FiniteLattice:
@@ -221,11 +218,14 @@ class PosetAction:
       A1:  s1 <= s2  implies  table[s1][x] <= table[s2][x]
       A2:  x <= y    implies  table[s][x] <= table[s][y]
       A3:  table[s][x] <= x
+
     """
 
     lattice: FiniteLattice
     poset: FinitePoset
     table: tuple[tuple[int, ...], ...] = field(repr=False)
+    # What is computed once per action, such as the spectra's violation masks.
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, s: int, x: int) -> int:
         return self.table[s][x]
@@ -235,7 +235,11 @@ class PosetAction:
 
 
 def make_action(lattice: FiniteLattice, poset: FinitePoset, table) -> PosetAction:
-    """Validate the three action axioms and freeze the table."""
+    """Validate the three action axioms and freeze the table.
+
+    A1 and A2 are checked on covering pairs only.  Every comparable pair is
+    joined by a chain of covers, so by transitivity that is equivalent.
+    """
     rows = tuple(tuple(row) for row in table)
     if len(rows) != poset.size or any(len(r) != lattice.size for r in rows):
         raise AxiomViolation("table shape does not match poset x lattice")
@@ -245,132 +249,124 @@ def make_action(lattice: FiniteLattice, poset: FinitePoset, table) -> PosetActio
                 raise AxiomViolation(f"entry ({s}, {x}) out of range")
             if not lattice.le(y, x):
                 raise AxiomViolation(f"A3 fails: {s}.{x} = {y} is not <= {x}")
-    for s in range(poset.size):
+    for x, y in lattice.covers():
+        for s, row in enumerate(rows):
+            if not lattice.le(row[x], row[y]):
+                raise AxiomViolation(f"A2 fails at s={s}, {x} <= {y}")
+    for s1, s2 in poset.covers():
+        low, high = rows[s1], rows[s2]
         for x in range(lattice.size):
-            for y in _bits(lattice.up[x]):
-                if not lattice.le(rows[s][x], rows[s][y]):
-                    raise AxiomViolation(f"A2 fails at s={s}, {x} <= {y}")
-    for s1 in range(poset.size):
-        for s2 in _bits(poset.up[s1]):
-            for x in range(lattice.size):
-                if not lattice.le(rows[s1][x], rows[s2][x]):
-                    raise AxiomViolation(f"A1 fails at {s1} <= {s2}, x={x}")
+            if not lattice.le(low[x], high[x]):
+                raise AxiomViolation(f"A1 fails at {s1} <= {s2}, x={x}")
     return PosetAction(lattice, poset, rows)
 
 
 def trivial_action(lattice: FiniteLattice, poset: FinitePoset | None = None) -> PosetAction:
-    """The identity action s.x = x, on a one-element poset by default."""
+    """The identity action s.x = x, on a one-element poset by default.
+
+    The identity is deflationary, monotone in x and constant in s.
+    """
     if poset is None:
         poset = build_poset(1, [])
-    table = [[x for x in range(lattice.size)] for _ in range(poset.size)]
-    return make_action(lattice, poset, table)
+    return PosetAction(lattice, poset, (tuple(range(lattice.size)),) * poset.size)
+
+
+def _top_rows(action: PosetAction, join: bool) -> tuple[tuple[int, ...], ...]:
+    # The join (or meet) row of s.top for every poset element s.
+    return tuple(_row(action.lattice, action.top_image(s), join)
+                 for s in range(action.poset.size))
 
 
 def dual_action(action: PosetAction) -> PosetAction:
     """Action of the dual poset on the dual lattice: s.x = (s.top) join x.
 
-    The join is taken in the original lattice; the axioms are re-validated
-    against the reversed orders.
+    The join is taken in the original lattice.  In the reversed orders the
+    axioms hold: (s.top) join x lies above x, joining is monotone, and
+    s1 >= s2 gives s1.top >= s2.top.
     """
     lat = action.lattice
-    table = [
-        [lat.join(action.top_image(s), x) for x in range(lat.size)]
-        for s in range(action.poset.size)
-    ]
-    return make_action(lat.dual(), action.poset.dual(), table)
+    return PosetAction(lat.dual(), action.poset.dual(), _top_rows(action, True))
 
 
 def star_action(action: PosetAction) -> PosetAction:
-    """Replacement action on the same lattice: s.x = (s.top) meet x."""
-    lat = action.lattice
-    table = [
-        [lat.meet(action.top_image(s), x) for x in range(lat.size)]
-        for s in range(action.poset.size)
-    ]
-    return make_action(lat, action.poset, table)
+    """Replacement action on the same lattice: s.x = (s.top) meet x.
+
+    Meeting with s.top is deflationary and monotone, and s.top is monotone in s.
+    """
+    return PosetAction(action.lattice, action.poset, _top_rows(action, False))
+
+
+def _row(lat: FiniteLattice, x: int, join: bool) -> tuple[int, ...]:
+    """x join y (or x meet y) for every y, read from the table when there is one."""
+    table, op = (lat.join_table, lat.join) if join else (lat.meet_table, lat.meet)
+    return table[x] if table is not None else tuple(op(x, y) for y in range(lat.size))
+
+
+def _interval(lat: FiniteLattice, low: int, high: int):
+    """The interval [low, high] as a lattice, with its members and their new ids.
+
+    Member i of the interval is its i-th element in ascending identifier order.
+    An interval is closed under meets and joins, so its order rows and its
+    tables are restrictions of the lattice's and need no check.
+    """
+    mask = lat.up[low] & lat.down[high]
+    elems = list(_bits(mask))
+    index = [-1] * lat.size
+    for i, y in enumerate(elems):
+        index[y] = i
+
+    # A row restricted to the interval is its digits at the members, read
+    # from the binary string of the row, highest identifier first.
+    width = f"0{lat.size}b"
+    picks = [lat.size - 1 - y for y in reversed(elems)]
+
+    def restrict(row: int) -> int:
+        digits = format(row, width)
+        return int("".join([digits[p] for p in picks]), 2)
+
+    def restrict_table(join: bool) -> tuple[tuple[int, ...], ...]:
+        rows = [_row(lat, a, join) for a in elems]
+        return tuple(tuple([index[row[b]] for b in elems]) for row in rows)
+
+    meet = join = None
+    if len(elems) <= TABLE_LIMIT:
+        meet, join = restrict_table(False), restrict_table(True)
+    sub = FiniteLattice(len(elems), tuple(restrict(lat.up[y]) for y in elems),
+                        index[low], index[high],
+                        tuple(restrict(lat.down[y]) for y in elems), meet, join)
+    return sub, elems, index
 
 
 def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
     """Sublattice on {y : y <= x} with the inherited action.
 
     Element i of the result is the i-th member of {y : y <= x} in ascending
-    identifier order; the top of the interval is the image of x.
+    identifier order; the top of the interval is the image of x.  The action
+    stays inside the interval because s.y <= y, and restricting it keeps the
+    axioms.
     """
-    lat = action.lattice
-    elems = sorted(_bits(lat.down[x]))
-    index = {y: i for i, y in enumerate(elems)}
-    pairs = [(index[y], index[z]) for y in elems for z in elems if lat.le(y, z)]
-    sub = build_lattice(len(elems), pairs)
-    table = [
-        [index[action.apply(s, y)] for y in elems]
-        for s in range(action.poset.size)
-    ]
-    return sub, make_action(sub, action.poset, table)
-
-
-def _matches_below(lat: FiniteLattice, x: int, y: int, z: int) -> bool:
-    # Whether every y' <= y has some z' <= z with y' join x = z' join x.
-    for yp in _bits(lat.down[y]):
-        target = lat.join(yp, x)
-        if not any(lat.join(zp, x) == target for zp in _bits(lat.down[z])):
-            return False
-    return True
+    sub, elems, index = _interval(action.lattice, action.lattice.bottom, x)
+    table = tuple(tuple([index[row[y]] for y in elems]) for row in action.table)
+    return sub, PosetAction(sub, action.poset, table)
 
 
 def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction, dict[int, int]]:
-    """Quotient lattice on the equivalence classes of {y : y >= x}.
+    """Quotient lattice at x: the upper interval [x, top] with s.y -> (s.y) join x.
 
-    Two elements y, z >= x are identified when each y' <= y matches some
-    z' <= z with y' join x = z' join x, and symmetrically.  The class map
-    sends every y >= x to its class identifier; classes are numbered by
-    ascending least member.  The induced action sends the class of y to the
-    class of (s.y) join x.  Any internal inconsistency (the class order not
-    being a lattice, meets or joins or the action depending on the chosen
-    representative) raises NotALattice.
+    The quotient identifies y, z >= x when {y' join x : y' <= y} and
+    {z' join x : z' <= z} coincide.  For y >= x the first set has greatest
+    element y join x = y, so two elements are identified only when they are
+    equal: every class is a singleton, the class order is the lattice order,
+    and the quotient is the interval itself.  The class map sends each
+    y >= x to its position in [x, top] in ascending identifier order.  The
+    induced action satisfies the axioms: (s.y) join x <= y join x = y, and it
+    is monotone in s and in y because s.y is and joining with x is.
     """
     lat = action.lattice
-    ups = sorted(_bits(lat.up[x]))
-    classes: list[list[int]] = []
-    for y in ups:
-        for cls in classes:
-            rep = cls[0]
-            if _matches_below(lat, x, y, rep) and _matches_below(lat, x, rep, y):
-                cls.append(y)
-                break
-        else:
-            classes.append([y])
-    classes.sort(key=lambda cls: cls[0])
-    class_map = {y: i for i, cls in enumerate(classes) for y in cls}
-
-    def class_le(a: int, b: int) -> bool:
-        return _matches_below(lat, x, classes[a][0], classes[b][0])
-
-    try:
-        pairs = [(a, b) for a in range(len(classes)) for b in range(len(classes)) if class_le(a, b)]
-        sub = build_lattice(len(classes), pairs)
-        # Meets and joins must agree with the defining formulas from every
-        # choice of representatives.
-        for a, b in itertools.product(range(len(classes)), repeat=2):
-            for ya, yb in itertools.product(classes[a], classes[b]):
-                if class_map[lat.meet(ya, yb)] != sub.meet(a, b):
-                    raise NotALattice(f"quotient meet ill-defined at classes ({a}, {b})")
-                if class_map[lat.join(ya, yb)] != sub.join(a, b):
-                    raise NotALattice(f"quotient join ill-defined at classes ({a}, {b})")
-        table = []
-        for s in range(action.poset.size):
-            row = []
-            for cls in classes:
-                images = {class_map[lat.join(action.apply(s, y), x)] for y in cls}
-                if len(images) != 1:
-                    raise NotALattice(f"quotient action ill-defined at s={s}, class of {cls[0]}")
-                row.append(images.pop())
-            table.append(row)
-        quot_action = make_action(sub, action.poset, table)
-    except NotALattice:
-        raise
-    except LatticeError as exc:
-        raise NotALattice(f"quotient construction failed: {exc}") from exc
-    return sub, quot_action, class_map
+    sub, elems, index = _interval(lat, x, lat.top)
+    join_x = _row(lat, x, True)
+    table = tuple(tuple([index[join_x[row[y]]] for y in elems]) for row in action.table)
+    return sub, PosetAction(sub, action.poset, table), {y: i for i, y in enumerate(elems)}
 
 
 def is_multiplication(action: PosetAction) -> bool:

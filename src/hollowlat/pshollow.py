@@ -51,7 +51,7 @@ from .modules import (
     whole_module,
 )
 from .report import Report
-from .spectra import spectrum
+from .spectra import is_kind
 
 NONSMALL_READING_FLAG = (
     "non-small inheritance reads smallness of K inside N; the moreover clause "
@@ -112,16 +112,11 @@ def is_ps_hollow(sub: Submodule) -> bool:
     """Exhaustive test of: sub <= IM + L implies sub <= IM or sub <= L.
 
     This is the ps_hollow kind of the submodule lattice under the ideal
-    action, whose spectrum is computed once per module.
+    action, whose violation mask is computed once per module.
     """
     if sub.is_zero:
         raise ZeroSubmodule("ps-hollow is undefined on the zero submodule")
-    module = sub.module
-    got = module._cache.get("ps_hollow")
-    if got is None:
-        got = frozenset(spectrum(submodule_lattice(module)[1], "ps_hollow"))
-        module._cache["ps_hollow"] = got
-    return sub.index in got
+    return is_kind(submodule_lattice(sub.module)[1], sub.index, "ps_hollow")
 
 
 def profile(sub: Submodule) -> HollowProfile:

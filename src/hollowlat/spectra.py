@@ -16,8 +16,9 @@ and five on L minus the bottom element:
   second                 s.x = x  or  s.x = bottom
   first                  s.y = bottom and y <= x  implies s.x = bottom or y = bottom
 
-The ps_ prefix abbreviates "pseudo strongly".  Every predicate is decided by
-exhausting the quantifiers, so the functions double as brute-force oracles.
+The ps_ prefix abbreviates "pseudo strongly".  A spectrum is decided whole:
+its quantifiers are exhausted once, for all x at a time as bitmasks, and
+is_kind reads the same masks.  tests/oracles.py keeps the per-element loops.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .report import Report
 UPPER_KINDS = ("irreducible", "strongly_irreducible", "ps_irreducible", "prime", "coprime")
 LOWER_KINDS = ("hollow", "strongly_hollow", "ps_hollow", "second", "first")
 KINDS = UPPER_KINDS + LOWER_KINDS
+PAIR_KINDS = ("irreducible", "strongly_irreducible", "hollow", "strongly_hollow")
 
 PS_HOLLOW_FLAG = (
     "ps_hollow evaluated as: x <= (s.top) join y implies x <= s.top or x <= y, "
@@ -68,58 +70,68 @@ class DomainError(Exception):
     """Element outside the domain of the requested kind."""
 
 
+def _violations(action: PosetAction, kind: str) -> int:
+    """Bitmask of the elements at which the defining implication of the kind fails.
+
+    Each quantifier instance (a, b) or (s, y) is visited once and marks every x
+    it refutes: (a, b) refutes strongly hollow on down(a join b) minus down(a)
+    minus down(b).  Callers apply the domain.  Masks are cached on the action.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    got = action.cache.get(kind)
+    if got is None:
+        lat, table = action.lattice, action.table
+        up, down, meet, join, bottom = lat.up, lat.down, lat.meet, lat.join, lat.bottom
+        tops = [row[lat.top] for row in table]
+        kernels = [sum(1 << y for y, image in enumerate(row) if image == bottom)
+                   for row in table] if kind == "first" else None
+
+        def unless(m, a, b):  # {m} unless m is a or b
+            return 0 if m == a or m == b else 1 << m
+
+        refutes = {
+            # instances (a, b) of two lattice elements
+            "irreducible": lambda a, b: unless(meet(a, b), a, b),
+            "strongly_irreducible": lambda a, b: up[meet(a, b)] & ~up[a] & ~up[b],
+            "hollow": lambda a, b: unless(join(a, b), a, b),
+            "strongly_hollow": lambda a, b: down[join(a, b)] & ~down[a] & ~down[b],
+            # instances (s, y) of a poset and a lattice element
+            "ps_irreducible": lambda s, y: up[meet(tops[s], y)] & ~up[tops[s]] & ~up[y],
+            "prime": lambda s, y: up[table[s][y]] & ~up[tops[s]] & ~up[y],
+            "ps_hollow": lambda s, y: down[join(tops[s], y)] & ~down[tops[s]] & ~down[y],
+            "first": lambda s, y: (up[y] & ~kernels[s]
+                                   if y != bottom and kernels[s] >> y & 1 else 0),
+            # instances s alone, checked at each x
+            "coprime": lambda s, x: (0 if up[tops[s]] >> x & 1 or join(tops[s], x) == lat.top
+                                     else 1 << x),
+            "second": lambda s, x: 0 if table[s][x] in (x, bottom) else 1 << x,
+        }[kind]
+        first = lat.size if kind in PAIR_KINDS else action.poset.size
+        got = 0
+        for i, j in itertools.product(range(first), range(lat.size)):
+            got |= refutes(i, j)
+        action.cache[kind] = got
+    return got
+
+
 def is_kind(action: PosetAction, x: int, kind: str) -> bool:
     """Decide whether element x has the given kind under the action."""
     lat = action.lattice
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind in UPPER_KINDS and x == lat.top:
+    if x == lat.top and kind in UPPER_KINDS:
         raise DomainError(f"{kind} is undefined on the top element")
-    if kind in LOWER_KINDS and x == lat.bottom:
+    if x == lat.bottom and kind in LOWER_KINDS:
         raise DomainError(f"{kind} is undefined on the bottom element")
-    rng = range(lat.size)
-    srange = range(action.poset.size)
-
-    if kind == "irreducible":
-        return all(a == x or b == x
-                   for a, b in itertools.product(rng, rng) if lat.meet(a, b) == x)
-    if kind == "strongly_irreducible":
-        return all(lat.le(a, x) or lat.le(b, x)
-                   for a, b in itertools.product(rng, rng) if lat.le(lat.meet(a, b), x))
-    if kind == "ps_irreducible":
-        return all(lat.le(action.top_image(s), x) or lat.le(y, x)
-                   for s, y in itertools.product(srange, rng)
-                   if lat.le(lat.meet(action.top_image(s), y), x))
-    if kind == "prime":
-        return all(lat.le(action.top_image(s), x) or lat.le(y, x)
-                   for s, y in itertools.product(srange, rng)
-                   if lat.le(action.apply(s, y), x))
-    if kind == "coprime":
-        return all(lat.le(action.top_image(s), x) or lat.join(action.top_image(s), x) == lat.top
-                   for s in srange)
-    if kind == "hollow":
-        return all(a == x or b == x
-                   for a, b in itertools.product(rng, rng) if lat.join(a, b) == x)
-    if kind == "strongly_hollow":
-        return all(lat.le(x, a) or lat.le(x, b)
-                   for a, b in itertools.product(rng, rng) if lat.le(x, lat.join(a, b)))
-    if kind == "ps_hollow":
-        return all(lat.le(x, action.top_image(s)) or lat.le(x, y)
-                   for s, y in itertools.product(srange, rng)
-                   if lat.le(x, lat.join(action.top_image(s), y)))
-    if kind == "second":
-        return all(action.apply(s, x) in (x, lat.bottom) for s in srange)
-    # first
-    return all(action.apply(s, x) == lat.bottom or y == lat.bottom
-               for s, y in itertools.product(srange, rng)
-               if action.apply(s, y) == lat.bottom and lat.le(y, x))
+    bad = action.cache.get(kind)
+    return not (_violations(action, kind) if bad is None else bad) >> x & 1
 
 
 def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
     """Sorted identifiers of all elements of the given kind."""
     lat = action.lattice
     excluded = lat.top if kind in UPPER_KINDS else lat.bottom
-    return tuple(x for x in range(lat.size) if x != excluded and is_kind(action, x, kind))
+    domain = ((1 << lat.size) - 1) & ~(1 << excluded)
+    return tuple(_bits(domain & ~_violations(action, kind)))
 
 
 @dataclass(frozen=True)
@@ -236,16 +248,12 @@ def check_spectrum_identities(action: PosetAction) -> Report:
     rep.check("identity.coprime_star_invariant",
               spectrum(star, "coprime") == spectrum(action, "coprime"))
 
-    first_ok = True
-    second_ok = True
+    first_ok = second_ok = True
     for x in range(lat.size):
-        if x == lat.bottom:
-            continue
-        sub, sub_action = lower_interval(action, x)
-        below = sorted(_bits(lat.down[x]))
-        sub_bottom = below.index(lat.bottom)
-        first_ok &= is_kind(action, x, "first") == is_kind(sub_action, sub_bottom, "prime")
-        second_ok &= is_kind(action, x, "second") == is_kind(sub_action, sub_bottom, "coprime")
+        if x != lat.bottom:
+            sub, sub_action = lower_interval(action, x)
+            first_ok &= is_kind(action, x, "first") == is_kind(sub_action, sub.bottom, "prime")
+            second_ok &= is_kind(action, x, "second") == is_kind(sub_action, sub.bottom, "coprime")
     rep.check("identity.first_iff_interval_bottom_prime", first_ok)
     rep.check("identity.second_iff_interval_bottom_coprime", second_ok)
     return rep

@@ -13,11 +13,18 @@ are the exhaustive subset loops the package's pruned depth-first search
 replaced: every combination of candidates is tried, by size, in
 ``itertools.combinations`` order, and kept when it sums to the module and
 passes the minimality test written here from the definitions.
+
+The lattice references are the per-element quantifier loops that decided
+each element kind before the package computed whole spectra from violation
+bitmasks, and the class-based quotient and the rebuilt lower interval that
+the package replaced by restrictions of the lattice to an interval.
 """
 
 import itertools
 
-from hollowlat.modules import Submodule
+from hollowlat.lattice import _bits, build_lattice, make_action
+from hollowlat.modules import FiniteModule, Ring, Submodule, submodule_lattice
+from hollowlat.spectra import UPPER_KINDS, random_instance
 
 
 def _closure(module, seed, gens):
@@ -186,3 +193,132 @@ def minimal_second_families(module):
     oracle = ModuleOracle(module)
     seconds = [s for s in oracle.subs if not s.is_zero and oracle.second(s.members)]
     return oracle.search(seconds, oracle.irredundant, len(seconds))
+
+
+# -- lattice references ----------------------------------------------------------
+
+# Submodule lattices the lattice references are compared on, as (ring, factors):
+# Z_12, Z_360, Z_2^3, Z_2^4, Z_6 + Z_6 and Z_8 + Z_4.
+REFERENCE_MODULES = ((12, (12,)), (360, (360,)), (2, (2, 2, 2)), (2, (2, 2, 2, 2)),
+                     (6, (6, 6)), (8, (8, 4)))
+REFERENCE_SEEDS = range(150)
+
+
+def reference_actions():
+    """(label, action) pairs: random_instance(seed, 16, 6), then the module lattices."""
+    for seed in REFERENCE_SEEDS:
+        yield f"random_instance({seed}, 16, 6)", random_instance(seed, 16, 6)
+    for ring, factors in REFERENCE_MODULES:
+        module = FiniteModule(Ring(ring), factors)
+        yield module.describe(), submodule_lattice(module)[1]
+
+def is_kind_reference(action, x, kind):
+    """Whether x has the kind, by exhausting the quantifiers of its definition at x."""
+    lat = action.lattice
+    rng = range(lat.size)
+    srange = range(action.poset.size)
+    top = action.top_image
+    if kind == "irreducible":
+        return all(a == x or b == x
+                   for a, b in itertools.product(rng, rng) if lat.meet(a, b) == x)
+    if kind == "strongly_irreducible":
+        return all(lat.le(a, x) or lat.le(b, x)
+                   for a, b in itertools.product(rng, rng) if lat.le(lat.meet(a, b), x))
+    if kind == "ps_irreducible":
+        return all(lat.le(top(s), x) or lat.le(y, x)
+                   for s, y in itertools.product(srange, rng)
+                   if lat.le(lat.meet(top(s), y), x))
+    if kind == "prime":
+        return all(lat.le(top(s), x) or lat.le(y, x)
+                   for s, y in itertools.product(srange, rng)
+                   if lat.le(action.apply(s, y), x))
+    if kind == "coprime":
+        return all(lat.le(top(s), x) or lat.join(top(s), x) == lat.top for s in srange)
+    if kind == "hollow":
+        return all(a == x or b == x
+                   for a, b in itertools.product(rng, rng) if lat.join(a, b) == x)
+    if kind == "strongly_hollow":
+        return all(lat.le(x, a) or lat.le(x, b)
+                   for a, b in itertools.product(rng, rng) if lat.le(x, lat.join(a, b)))
+    if kind == "ps_hollow":
+        return all(lat.le(x, top(s)) or lat.le(x, y)
+                   for s, y in itertools.product(srange, rng)
+                   if lat.le(x, lat.join(top(s), y)))
+    if kind == "second":
+        return all(action.apply(s, x) in (x, lat.bottom) for s in srange)
+    assert kind == "first", kind
+    return all(action.apply(s, x) == lat.bottom or y == lat.bottom
+               for s, y in itertools.product(srange, rng)
+               if action.apply(s, y) == lat.bottom and lat.le(y, x))
+
+
+def spectrum_reference(action, kind):
+    """Sorted elements of the kind, each decided on its own."""
+    lat = action.lattice
+    excluded = lat.top if kind in UPPER_KINDS else lat.bottom
+    return tuple(x for x in range(lat.size)
+                 if x != excluded and is_kind_reference(action, x, kind))
+
+
+def axioms_hold(lattice, poset, table):
+    """A1, A2 and A3 on every comparable pair, not only on covering pairs."""
+    return (all(lattice.le(table[s][x], x) for s in range(poset.size) for x in lattice.elements())
+            and all(lattice.le(table[s][x], table[s][y])
+                    for s in range(poset.size) for x, y in lattice.pairs())
+            and all(lattice.le(table[s1][x], table[s2][x])
+                    for s1, s2 in poset.pairs() for x in lattice.elements()))
+
+
+def lower_interval_reference(action, x):
+    """{y : y <= x} rebuilt from its order pairs, with the action validated."""
+    lat = action.lattice
+    elems = sorted(_bits(lat.down[x]))
+    index = {y: i for i, y in enumerate(elems)}
+    sub = build_lattice(len(elems), [(index[y], index[z])
+                                     for y in elems for z in elems if lat.le(y, z)])
+    table = [[index[action.apply(s, y)] for y in elems] for s in range(action.poset.size)]
+    return sub, make_action(sub, action.poset, table)
+
+
+def _matches_below(lat, x, y, z):
+    # Whether every y' <= y has some z' <= z with y' join x = z' join x.
+    for yp in _bits(lat.down[y]):
+        target = lat.join(yp, x)
+        if not any(lat.join(zp, x) == target for zp in _bits(lat.down[z])):
+            return False
+    return True
+
+
+def quotient_reference(action, x):
+    """Quotient at x from its definition: classes, class order, induced action.
+
+    y, z >= x are identified when each y' <= y matches some z' <= z with
+    y' join x = z' join x, and symmetrically.  Classes are numbered by
+    ascending least member.  Meets, joins and the action are checked to agree
+    from every choice of representatives.
+    """
+    lat = action.lattice
+    classes = []
+    for y in sorted(_bits(lat.up[x])):
+        for cls in classes:
+            if _matches_below(lat, x, y, cls[0]) and _matches_below(lat, x, cls[0], y):
+                cls.append(y)
+                break
+        else:
+            classes.append([y])
+    classes.sort(key=lambda cls: cls[0])
+    class_map = {y: i for i, cls in enumerate(classes) for y in cls}
+    count = range(len(classes))
+    sub = build_lattice(len(classes), [
+        (a, b) for a in count for b in count
+        if _matches_below(lat, x, classes[a][0], classes[b][0])])
+    for a, b in itertools.product(count, count):
+        for ya, yb in itertools.product(classes[a], classes[b]):
+            assert class_map[lat.meet(ya, yb)] == sub.meet(a, b), (a, b)
+            assert class_map[lat.join(ya, yb)] == sub.join(a, b), (a, b)
+    table = []
+    for s in range(action.poset.size):
+        images = [{class_map[lat.join(action.apply(s, y), x)] for y in cls} for cls in classes]
+        assert all(len(image) == 1 for image in images), s
+        table.append([image.pop() for image in images])
+    return sub, make_action(sub, action.poset, table), class_map

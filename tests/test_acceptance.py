@@ -11,7 +11,7 @@ import oracles
 
 from hollowlat import pshollow as ph
 from hollowlat import spectra
-from hollowlat.cli import main
+from hollowlat.cli import LATTICE_SIZE_LIMIT, main
 from hollowlat.lattice import is_join_distributive, quotient
 from hollowlat.modules import (
     FiniteModule,
@@ -252,3 +252,19 @@ def test_elementary_abelian_2_to_the_6_enumerates(capsys):
     assert len(enumerate_submodules(FiniteModule(Ring(2), [2] * 6))) == 2825
     with capsys.disabled():
         finish("Z_2^6 enumeration", started, 60.0)
+
+
+def test_verify_chain_at_lattice_size_limit(tmp_path, capsys):
+    # The largest chain a lattice spec may declare; the quotient and the
+    # spectra at every element used to make a 64-chain take about a minute.
+    started = time.perf_counter()
+    size = LATTICE_SIZE_LIMIT
+    lines = [f"lattice {size}"] + [f"leq {i} {i + 1}" for i in range(size - 1)]
+    lines += ["poset 1"] + [f"act 0 {x} {x}" for x in range(size)]
+    spec = tmp_path / "chain.spec"
+    spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["verify", "--in", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out, out[-500:]
+    with capsys.disabled():
+        finish(f"verify on a {size}-chain lattice spec", started, 60.0)

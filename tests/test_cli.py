@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from hollowlat.cli import (
+    LATTICE_SIZE_LIMIT,
     ParseError,
     ValidationError,
     emit_dot,
@@ -9,7 +12,7 @@ from hollowlat.cli import (
     main,
     parse_spec,
 )
-from hollowlat.modules import FiniteModule, submodule_lattice
+from hollowlat.modules import FiniteModule, Ring, submodule_lattice
 
 Z12 = "ring 12\nmodule 12\n"
 Z30 = "ring 30\nmodule 30\n"
@@ -22,6 +25,13 @@ poset 1
 act 0 0 0
 act 0 1 1
 """
+
+
+def chain_spec(size):
+    """A chain lattice spec with the identity action of a one-element poset."""
+    lines = [f"lattice {size}"] + [f"leq {i} {i + 1}" for i in range(size - 1)]
+    lines += ["poset 1"] + [f"act 0 {x} {x}" for x in range(size)]
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, name, text):
@@ -206,6 +216,22 @@ class TestMalformedInput:
         err = self.assert_rejected(["verify", "--in", spec], capsys)
         assert err.startswith(f"error: line {line}: ")
 
+    def test_lattice_above_size_limit(self, tmp_path, capsys):
+        # A well-formed chain, rejected only for its declared size.
+        spec = write(tmp_path, "l.spec", "# too large\n" + chain_spec(LATTICE_SIZE_LIMIT + 1))
+        err = self.assert_rejected(["verify", "--in", spec], capsys)
+        assert err.startswith("error: line 2: ") and str(LATTICE_SIZE_LIMIT) in err
+
+    @pytest.mark.parametrize("text,line", [
+        ("lattice 0\nposet 1\n", 1),
+        ("lattice -2\nposet -3\n", 1),
+        ("lattice 1\nposet 0\nact 0 0 0\n", 2),
+    ], ids=["empty-lattice", "negative-sizes", "empty-poset"])
+    def test_nonpositive_sizes(self, tmp_path, capsys, text, line):
+        spec = write(tmp_path, "l.spec", text)
+        err = self.assert_rejected(["verify", "--in", spec], capsys)
+        assert err.startswith(f"error: line {line}: ")
+
     @pytest.mark.parametrize("max_terms", ["0", "-2"])
     def test_represent_max_terms_below_one(self, tmp_path, capsys, max_terms):
         spec = write(tmp_path, "m.spec", Z12)
@@ -286,3 +312,43 @@ class TestReports:
         assert main(["submodules", "--in", spec]) == 3
         monkeypatch.setenv("HOLLOWLAT_BOUND", "64")
         assert main(["submodules", "--in", spec]) == 0
+
+
+class TestSpecMutations:
+    """Seeded mutants of the spec texts above never make the CLI raise."""
+
+    TOKENS = ("0", "1", "2", "3", "4", "6", "12", "-1", "x", "#", "ring", "module",
+              "lattice", "leq", "poset", "sleq", "act")
+    COMMANDS = ("verify", "spectra", "hasse", "submodules", "pshollow", "represent")
+
+    def mutate(self, rng, text):
+        lines = [line.split() for line in text.splitlines()]
+        for _ in range(rng.randint(1, 3)):
+            op = rng.choice(("drop", "duplicate", "alter", "swap"))
+            i = rng.randrange(len(lines))
+            if op == "drop" and len(lines) > 1:
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(rng.randrange(len(lines) + 1), list(lines[i]))
+            elif op == "alter" and lines[i]:
+                lines[i][rng.randrange(len(lines[i]))] = rng.choice(self.TOKENS)
+            elif op == "swap":
+                j = rng.randrange(len(lines))
+                if lines[i] and lines[j]:
+                    a, b = rng.randrange(len(lines[i])), rng.randrange(len(lines[j]))
+                    lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        return "".join(" ".join(words) + "\n" for words in lines)
+
+    def test_mutated_specs_exit_cleanly(self, tmp_path, capsys):
+        module = FiniteModule(Ring(12), [12])
+        texts = [Z12, Z30, KLEIN, CHAIN_SPEC, emit_lattice_spec(submodule_lattice(module)[1])]
+        rng = random.Random(20261018)
+        spec = tmp_path / "mutant.spec"
+        for trial in range(1000):
+            text = self.mutate(rng, texts[trial % len(texts)])
+            spec.write_text(text, encoding="utf-8")
+            command = self.COMMANDS[trial % len(self.COMMANDS)]
+            code = main([command, "--in", str(spec)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (command, text)
+            assert (code == 3) == err.startswith("error:"), (command, text, err)

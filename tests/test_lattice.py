@@ -1,10 +1,12 @@
 import itertools
 
+import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hollowlat.lattice import (
     AxiomViolation,
+    _bits,
     MeetOrJoinMissing,
     NotAPartialOrder,
     build_lattice,
@@ -130,6 +132,23 @@ class TestActions:
         with pytest.raises(AxiomViolation):
             make_action(lat, poset, [[0, 1], [0, 0]])  # s0 <= s1 but s0.1 > s1.1
 
+    @settings(max_examples=200, deadline=None)
+    @given(seeds, st.randoms(use_true_random=False))
+    def test_cover_checks_agree_with_all_pairs(self, seed, rng):
+        # make_action checks A1 and A2 on covering pairs only; one changed
+        # entry of a valid table must be caught exactly when some pair breaks.
+        act = random_instance(seed, 10, 4)
+        lat = act.lattice
+        table = [list(row) for row in act.table]
+        s, x = rng.randrange(act.poset.size), rng.randrange(lat.size)
+        table[s][x] = rng.choice(list(_bits(lat.down[x])))
+        try:
+            make_action(lat, act.poset, table)
+            accepted = True
+        except AxiomViolation:
+            accepted = False
+        assert accepted == oracles.axioms_hold(lat, act.poset, table)
+
     def test_dual_of_trivial_action_on_chain(self):
         # s.x = x has s.top = top, so the dual table is constantly the old top
         act = trivial_action(chain(2))
@@ -202,21 +221,50 @@ class TestIntervalAndQuotient:
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_quotient_well_defined_random(self, seed):
-        # construction validates meet/join/action on every representative pair
+        # Every class is a singleton: the quotient at x is [x, top] in the
+        # lattice order, with s.y -> (s.y) join x read in the lattice itself.
         act = random_instance(seed)
-        for x in act.lattice.elements():
+        lat = act.lattice
+        for x in lat.elements():
             sub, sub_act, cmap = quotient(act, x)
-            assert sub.size == len(set(cmap.values()))
+            assert list(cmap) == list(_bits(lat.up[x]))
+            assert list(cmap.values()) == list(range(sub.size))
             assert sub_act.lattice is sub
+            for y, i in cmap.items():
+                assert all(sub.le(i, j) == lat.le(y, z) for z, j in cmap.items())
+                for s in range(act.poset.size):
+                    assert sub_act.apply(s, i) == cmap[lat.join(act.apply(s, y), x)]
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_derived_actions_validate_random(self, seed):
+        # The derived constructions do not validate; make_action must accept them.
         act = random_instance(seed)
-        dual_action(act)
-        star_action(act)
+        derived = [dual_action(act), star_action(act), trivial_action(act.lattice, act.poset)]
         for x in act.lattice.elements():
-            lower_interval(act, x)
+            derived.append(lower_interval(act, x)[1])
+            derived.append(quotient(act, x)[1])
+        for d in derived:
+            assert make_action(d.lattice, d.poset, d.table) == d
+
+
+class TestAgainstReferences:
+    """The interval constructions against the definitions in tests/oracles.py."""
+
+    @pytest.mark.parametrize("act", [pytest.param(act, id=label)
+                                     for label, act in oracles.reference_actions()])
+    def test_intervals_and_derived_tables(self, act):
+        lat = act.lattice
+        derived = [dual_action(act), star_action(act), trivial_action(lat, act.poset)]
+        for x in lat.elements():
+            sub, sub_act, cmap = quotient(act, x)
+            # Same size, order, tables, action table and class map.
+            assert (sub, sub_act, cmap) == oracles.quotient_reference(act, x), x
+            low = lower_interval(act, x)
+            assert low == oracles.lower_interval_reference(act, x), x
+            derived += [sub_act, low[1]]
+        for d in derived:
+            assert make_action(d.lattice, d.poset, d.table) == d
 
 
 class TestActionPredicates:

@@ -1,3 +1,4 @@
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from hollowlat.lattice import (
 from hollowlat.modules import FiniteModule, Ring, enumerate_submodules, submodule_lattice
 from hollowlat.spectra import (
     KINDS,
+    UPPER_KINDS,
     DomainError,
     check_double_dual,
     check_duality_theorem,
@@ -179,3 +181,20 @@ class TestDualityChecks:
         act = star_action(make_action(square, build_poset(1, []), [[0, 1, 0, 1]]))
         assert spectrum(act, "coprime") == (1, 2)
         assert spectrum(dual_action(act), "second") == (1, 2)
+
+
+class TestAgainstReference:
+    """Whole spectra against the per-element loops in tests/oracles.py."""
+
+    @pytest.mark.parametrize("act", [pytest.param(act, id=label)
+                                     for label, act in oracles.reference_actions()])
+    def test_spectra_and_is_kind_match(self, act):
+        for derived in (act, dual_action(act), star_action(act)):
+            lat = derived.lattice
+            for kind in KINDS:
+                want = oracles.spectrum_reference(derived, kind)
+                assert spectrum(derived, kind) == want, kind
+                excluded = lat.top if kind in UPPER_KINDS else lat.bottom
+                got = tuple(x for x in lat.elements()
+                            if x != excluded and is_kind(derived, x, kind))
+                assert got == want, kind
