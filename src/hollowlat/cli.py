@@ -62,6 +62,11 @@ COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verif
 # Largest lattice a lattice spec may declare: verify on a chain of this size
 # takes about 5 s, and about 20 s with a poset of the same size.
 LATTICE_SIZE_LIMIT = 256
+# Largest ring modulus a module spec may declare.  The ideals of Z/nZ are the
+# poset of every module action, and verify's work grows with the square of
+# their number: below this limit 6983776800 has the most divisors, 2304, and
+# verify on it with module 2 takes about 3.5 s.
+RING_MODULUS_LIMIT = 10 ** 10
 
 
 class ParseError(Exception):
@@ -122,6 +127,9 @@ def _parse_module(rows, bound) -> FiniteModule:
             if ring is not None:
                 raise ParseError(lineno, "duplicate ring directive")
             (n,) = _ints(lineno, rest, 1)
+            if n > RING_MODULUS_LIMIT:
+                raise ParseError(lineno, f"ring modulus must be at most "
+                                         f"{RING_MODULUS_LIMIT}, got {n}")
             ring = n
         elif key == "module":
             if factors is not None:

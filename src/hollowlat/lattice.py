@@ -238,25 +238,27 @@ def make_action(lattice: FiniteLattice, poset: FinitePoset, table) -> PosetActio
     """Validate the three action axioms and freeze the table.
 
     A1 and A2 are checked on covering pairs only.  Every comparable pair is
-    joined by a chain of covers, so by transitivity that is equivalent.
+    joined by a chain of covers, so by transitivity that is equivalent.  Each
+    comparison y <= x is a bit test on the down row of x.
     """
     rows = tuple(tuple(row) for row in table)
     if len(rows) != poset.size or any(len(r) != lattice.size for r in rows):
         raise AxiomViolation("table shape does not match poset x lattice")
+    size, down = lattice.size, lattice.down
     for s, row in enumerate(rows):
         for x, y in enumerate(row):
-            if not (0 <= y < lattice.size):
+            if not (0 <= y < size):
                 raise AxiomViolation(f"entry ({s}, {x}) out of range")
-            if not lattice.le(y, x):
+            if not down[x] >> y & 1:
                 raise AxiomViolation(f"A3 fails: {s}.{x} = {y} is not <= {x}")
     for x, y in lattice.covers():
         for s, row in enumerate(rows):
-            if not lattice.le(row[x], row[y]):
+            if not down[row[y]] >> row[x] & 1:
                 raise AxiomViolation(f"A2 fails at s={s}, {x} <= {y}")
     for s1, s2 in poset.covers():
         low, high = rows[s1], rows[s2]
-        for x in range(lattice.size):
-            if not lattice.le(low[x], high[x]):
+        for x in range(size):
+            if not down[high[x]] >> low[x] & 1:
                 raise AxiomViolation(f"A1 fails at {s1} <= {s2}, x={x}")
     return PosetAction(lattice, poset, rows)
 
@@ -300,6 +302,25 @@ def _row(lat: FiniteLattice, x: int, join: bool) -> tuple[int, ...]:
     """x join y (or x meet y) for every y, read from the table when there is one."""
     table, op = (lat.join_table, lat.join) if join else (lat.meet_table, lat.meet)
     return table[x] if table is not None else tuple(op(x, y) for y in range(lat.size))
+
+
+class _RowsOnDemand(dict):
+    # The rows of a join (or meet) table the lattice does not keep, each
+    # computed when first read.
+    def __init__(self, lat: FiniteLattice, join: bool):
+        super().__init__()
+        self.lat, self.join = lat, join
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        row = self[x] = _row(self.lat, x, self.join)
+        return row
+
+
+def _table(lat: FiniteLattice, join: bool):
+    """The join (or meet) table, indexed [x][y]; rows are computed on demand
+    for a lattice above TABLE_LIMIT, which keeps no table."""
+    table = lat.join_table if join else lat.meet_table
+    return table if table is not None else _RowsOnDemand(lat, join)
 
 
 def _interval(lat: FiniteLattice, low: int, high: int):
@@ -376,11 +397,19 @@ def is_multiplication(action: PosetAction) -> bool:
 
 
 def is_join_distributive(action: PosetAction) -> bool:
-    """Whether s.(y join z) = (s.y) join (s.z) holds for all s, y, z."""
-    lat = action.lattice
-    for s in range(action.poset.size):
-        row = action.table[s]
-        for y, z in itertools.combinations_with_replacement(range(lat.size), 2):
-            if row[lat.join(y, z)] != lat.join(row[y], row[z]):
-                return False
+    """Whether s.(y join z) = (s.y) join (s.z) holds for all s, y, z.
+
+    The instances are visited s first, then the pairs y <= z in
+    combinations_with_replacement order, and the first failure ends the
+    search.  Both joins are read from rows of the join table: the row of y
+    for y join z, the row of s.y for (s.y) join (s.z).
+    """
+    joins = _table(action.lattice, True)
+    size = action.lattice.size
+    for row in action.table:
+        for y in range(size):
+            join_y, join_image = joins[y], joins[row[y]]
+            for z in range(y, size):
+                if row[join_y[z]] != join_image[row[z]]:
+                    return False
     return True

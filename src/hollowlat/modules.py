@@ -2,19 +2,28 @@
 
 A module is a direct sum of cyclic groups Z/d_iZ with every d_i dividing the
 ring modulus n, so scalars act as integer multiples and submodules coincide
-with subgroups.  The submodules are enumerated from the group structure: a
-module whose order has several prime divisors splits into its p-primary
-parts, whose submodule lattices multiply, and each part is enumerated from
-its cyclic subgroups (enumerate_submodules).  Their member sets serve to
-build the lattice with the ideal action (submodule_lattice), once per module
-and on first use.  Everything downstream is a query on that lattice:
+with subgroups.  Elements are numbered in mixed radix over the factors, so a
+map that acts on each coordinate on its own, such as scaling by r or
+translation by g, is built for the whole module at once from one column per
+factor (FiniteModule.scaling_map, translation_map).
+
+The submodules are enumerated from the group structure: a module whose order
+has several prime divisors splits into its p-primary parts, whose submodule
+lattices multiply, and each part is enumerated from its cyclic subgroups,
+closing under H + <g> one coset at a time through the translation map of g
+(enumerate_submodules).  Their member sets serve to build the lattice with
+the ideal action (submodule_lattice), once per module and on first use: the
+image of every submodule under p is read off the scaling map of p for each
+prime p dividing n, and every other ideal's row is a composite of those, as
+(d)N = p((d/p)N).  Everything downstream is a query on that lattice:
 inclusion reads its order rows, sums and intersections its join and meet
 tables, ideal products its action table, and the class predicates are
 lattice and spectrum queries.  The brute-force definitions on member sets,
 which the tests compare the package against, live in tests/oracles.py.
 
 The same machinery runs on quotient structures (CosetModule), which is what
-the lifting predicate needs.
+the lifting predicate needs; their maps come from add and smul element by
+element.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .lattice import (
     FiniteLattice,
     PosetAction,
     _bits,
+    _table,
     build_lattice,
     build_poset,
     is_multiplication,
@@ -52,8 +62,28 @@ class ZeroSubmodule(ModuleError):
 
 
 @lru_cache(maxsize=None)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, v_p(n)) by ascending prime p, by trial division up to sqrt(n)."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            out.append((p, v))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    divs = [1]
+    for p, v in _factor(n):
+        divs = [d * p ** k for d in divs for k in range(v + 1)]
+    return tuple(sorted(divs))
 
 
 @dataclass(frozen=True)
@@ -69,6 +99,11 @@ class Ring:
     @property
     def divisors(self) -> tuple[int, ...]:
         return _divisors(self.n)
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes dividing n, ascending; their ideals generate all the others."""
+        return tuple(p for p, _ in _factor(self.n))
 
     def ideal(self, generator: int) -> "Ideal":
         return Ideal(self, math.gcd(generator, self.n) or self.n)
@@ -144,6 +179,11 @@ class FiniteModule:
         self.size = order
         self.elements = tuple(itertools.product(*(range(d) for d in factors)))
         self._index = {e: i for i, e in enumerate(self.elements)}
+        # Place values of the mixed radix: an element's index is the sum of its
+        # coordinates times these.  _columns[i][x] is coordinate x of factor i
+        # times its place value.
+        self._place = tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
+        self._columns = tuple([x * w for x in range(d)] for d, w in zip(factors, self._place))
         self._cache: dict = {}
 
     zero = 0
@@ -155,6 +195,26 @@ class FiniteModule:
     def smul(self, r: int, i: int) -> int:
         a = self.elements[i]
         return self._index[tuple((r * x) % d for x, d in zip(a, self.factors))]
+
+    def _coordinatewise(self, columns) -> list[int]:
+        # The sum over the factors i of columns[i][x_i], for every element x in
+        # index order: the columns' product in lexicographic order runs through
+        # the elements in that order.  The columns are fresh lists, and a
+        # single one is returned as it is.
+        if len(columns) == 1:
+            return columns[0]
+        return list(map(sum, itertools.product(*columns)))
+
+    def scaling_map(self, r: int) -> list[int]:
+        """smul(r, x) for every element x, in one pass."""
+        return self._coordinatewise([[col[r * x % len(col)] for x in range(len(col))]
+                                     for col in self._columns])
+
+    def translation_map(self, g: int) -> list[int]:
+        """add(x, g) for every element x, in one pass."""
+        # Adding a to coordinate x of a factor rotates its column by a.
+        return self._coordinatewise([col[a:] + col[:a]
+                                     for col, a in zip(self._columns, self.elements[g])])
 
     def element_name(self, i: int) -> str:
         if len(self.factors) == 1:
@@ -203,6 +263,12 @@ class CosetModule:
 
     def smul(self, r: int, i: int) -> int:
         return self._proj[self.base.smul(r, self.reps[i])]
+
+    def scaling_map(self, r: int) -> list[int]:
+        return [self.smul(r, x) for x in range(self.size)]
+
+    def translation_map(self, g: int) -> list[int]:
+        return [self.add(x, g) for x in range(self.size)]
 
     def project(self, x: int) -> int:
         return self._proj[x]
@@ -257,26 +323,55 @@ class Submodule:
         return f"Submodule({self.name})"
 
 
-def _closure(module, seed, gens) -> set[int]:
+class _Translations(dict):
+    """The translation maps x -> x + g of one module, each built on first use.
+
+    A table lives for one call and is dropped when the call returns: the
+    maps take module.size entries each, and no later query reads them.
+    """
+
+    def __init__(self, module):
+        super().__init__()
+        self.module = module
+
+    def __missing__(self, g: int) -> list[int]:
+        shift = self[g] = self.module.translation_map(g)
+        return shift
+
+
+def _closure(shifts: _Translations, seed, gens) -> frozenset[int]:
+    """The subgroup seed + <gens>, for a subgroup seed.
+
+    H + <g> is the union of the cosets H + kg for k = 0, 1, ... up to the
+    first k with kg in H, where the cosets start to repeat; walking g's
+    translation map from g finds that k.  Each new coset is then one pass of
+    the map over the last.
+    """
     members = set(seed)
-    queue = list(members)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = module.add(x, g)
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-    return members
+    for g in gens:
+        shift = shifts[g]
+        walk = []  # g, 2g, ..., up to the first multiple in H
+        x = g
+        while x not in members:
+            walk.append(x)
+            x = shift[x]
+        if len(members) == 1:  # H = 0: each coset is one point of the walk
+            members.update(walk)
+            continue
+        coset = list(members)
+        for _ in walk:
+            coset = [shift[y] for y in coset]
+            members.update(coset)
+    return frozenset(members)
 
 
-def _canonical_generators(module, members: frozenset[int]) -> tuple[int, ...]:
+def _canonical_generators(shifts: _Translations, members: frozenset[int]) -> tuple[int, ...]:
     gens: list[int] = []
-    current = {module.zero}
+    current = frozenset({shifts.module.zero})
     for m in sorted(members):
         if m not in current:
             gens.append(m)
-            current = _closure(module, current, (m,))
+            current = _closure(shifts, current, (m,))
     return tuple(gens)
 
 
@@ -287,7 +382,7 @@ def _as_submodule(module, members: frozenset[int]) -> Submodule:
 
 def span(module, gens) -> Submodule:
     """Least submodule containing the given elements (additive closure)."""
-    return _as_submodule(module, frozenset(_closure(module, {module.zero}, tuple(gens))))
+    return _as_submodule(module, _closure(_Translations(module), {module.zero}, tuple(gens)))
 
 
 def zero_submodule(module) -> Submodule:
@@ -307,71 +402,77 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     enumerated on its own and the products are pulled back along the CRT
     projection.  The submodules of a part (or of a module of prime power
     order, or of a quotient) are the sums of its cyclic submodules, found by
-    walking each cyclic submodule once and closing under H + <g>.
+    walking each cyclic submodule once and closing under H + <g>.  The
+    translation maps these steps read are built during the call and dropped
+    when it returns.
     """
     cached = module._cache.get("submodules")
     if cached is not None:
         return cached
-    ordered = sorted(_member_sets(module), key=lambda m: (len(m), sorted(m)))
-    subs = tuple(Submodule(module, m, _canonical_generators(module, m), i)
+    shifts = _Translations(module)
+    ordered = sorted(_member_sets(shifts), key=lambda m: (len(m), sorted(m)))
+    subs = tuple(Submodule(module, m, _canonical_generators(shifts, m), i)
                  for i, m in enumerate(ordered))
     module._cache["submodules"] = subs
     module._cache["sub_index"] = {m: i for i, m in enumerate(ordered)}
     return subs
 
 
-def _prime_powers(n: int) -> list[int]:
-    """The prime-power factors p^v_p(n) of n, by ascending prime."""
-    out, p = [], 2
-    while n > 1:
-        q = 1
-        while n % p == 0:
-            n //= p
-            q *= p
-        if q > 1:
-            out.append(q)
-        p += 1
-    return out
-
-
-def _member_sets(module) -> list[frozenset[int]]:
-    """Member sets of all submodules, in no particular order."""
-    powers = _prime_powers(module.size)
+def _member_sets(shifts: _Translations) -> list[frozenset[int]]:
+    """Member sets of all submodules of shifts.module, in no particular order."""
+    module = shifts.module
+    powers = [p ** v for p, v in _factor(module.size)]
     if not isinstance(module, FiniteModule) or len(powers) < 2:
-        return _subgroups(module)
+        return _subgroups(shifts)
     parts = []
     for q in powers:
         kept = [(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
         # The part's order is q, which may exceed the default bound the module
         # was checked against; q is no more than the module's own order.
         parts.append((FiniteModule(Ring(q), [f for _, f in kept], bound=q), kept))
-    # lift inverts the CRT isomorphism: (x's image in each part) -> x.
-    lift = {}
-    for x, elem in enumerate(module.elements):
-        key = tuple(part._index[tuple(elem[i] % f for i, f in kept)] for part, kept in parts)
+    # Number the tuples (y_1, y_2, ...) of part elements in mixed radix, y_j
+    # with place value radix[j].  The key of x, the number of its tuple of CRT
+    # images, is a sum over x's coordinates, so all keys come from one
+    # coordinatewise map, and lift inverts it.
+    radix = [math.prod(part.size for part, _ in parts[j + 1:]) for j in range(len(parts))]
+    columns = [[0] * d for d in module.factors]
+    for (part, kept), w in zip(parts, radix):
+        for (i, f), place in zip(kept, part._place):
+            col = columns[i]
+            for x in range(len(col)):
+                col[x] += x % f * place * w
+    lift = [0] * module.size
+    for x, key in enumerate(module._coordinatewise(columns)):
         lift[key] = x
-    return [frozenset(lift[key] for key in itertools.product(*combo))
-            for combo in itertools.product(*(_subgroups(part) for part, _ in parts))]
+    weighted = [[[y * w for y in sub] for sub in _subgroups(_Translations(part))]
+                for (part, _), w in zip(parts, radix)]
+    return [frozenset([lift[key] for key in map(sum, itertools.product(*combo))])
+            for combo in itertools.product(*weighted)]
 
 
-def _subgroups(module) -> list[frozenset[int]]:
+def _subgroups(shifts: _Translations) -> list[frozenset[int]]:
     """Member sets of all subgroups, as sums of cyclic subgroups.
 
     Each cyclic subgroup <g> is walked once, as 0, g, 2g, ...; every kg with
     k prime to the order of g generates the same subgroup, so it is not
     walked again.  Every subgroup is a sum of cyclic ones, so closing under
     H + <g>, with one generator g per cyclic subgroup, reaches them all.
+    Both the walk and the closures step through g's translation map.
     """
-    gens, found = [], set()  # one generator per cyclic subgroup, and the subgroups found
+    module = shifts.module
+    gens = []  # one generator per cyclic subgroup
+    found = {frozenset({module.zero})}
     covered = [False] * module.size
+    covered[module.zero] = True
     for g in range(module.size):
         if covered[g]:
             continue
+        shift = shifts[g]
         walk = [module.zero]
         x = g
         while x != module.zero:
             walk.append(x)
-            x = module.add(x, g)
+            x = shift[x]
         for k in range(1, len(walk)):
             if math.gcd(k, len(walk)) == 1:
                 covered[walk[k]] = True
@@ -382,7 +483,7 @@ def _subgroups(module) -> list[frozenset[int]]:
         h = work.pop()
         for g in gens:
             if g not in h:
-                grown = frozenset(_closure(module, h, (g,)))
+                grown = _closure(shifts, h, (g,))
                 if grown not in found:
                     found.add(grown)
                     work.append(grown)
@@ -578,9 +679,16 @@ def is_comultiplication_module(module) -> bool:
 
 def _meets_distribute(lat: FiniteLattice, pairs) -> bool:
     # Whether low meet (k join n) = (low meet k) join (low meet n) for every
-    # pair (k, n) and every element low.
-    return all(lat.meet(low, lat.join(k, n)) == lat.join(lat.meet(low, k), lat.meet(low, n))
-               for k, n in pairs for low in lat.elements())
+    # pair (k, n) and every element low, visited pair by pair, ending at the
+    # first failure.  The meets are read from the meet rows of k, n and
+    # k join n, the outer join from the join table.
+    meets, joins = _table(lat, False), _table(lat, True)
+    for k, n in pairs:
+        meet_k, meet_n, meet_sum = meets[k], meets[n], meets[joins[k][n]]
+        for low in range(lat.size):
+            if meet_sum[low] != joins[meet_k[low]][meet_n[low]]:
+                return False
+    return True
 
 
 def is_distributive_module(module) -> bool:
@@ -681,6 +789,13 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     element j is the j-th divisor of n in ascending order, standing for the
     ideal it generates.  Built once per module; every submodule operation
     reads it.
+
+    The action is computed from prime rows.  For each prime p dividing n the
+    row of p maps every submodule N to pN, the image of its members under the
+    scaling map of p.  Every ideal (d) of Z/nZ is a product of prime ideals,
+    and (d)N = p((d/p)N) for a prime p dividing d, so the row of d is the row
+    of d/p followed by the row of p; divisors ascend, so the row of d/p is
+    ready first.  make_action still checks the three axioms on the result.
     """
     cached = module._cache.get("bridge")
     if cached is not None:
@@ -688,14 +803,23 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     subs = enumerate_submodules(module)
     pairs = [(a.index, b.index) for a in subs for b in subs if a.members <= b.members]
     lat = build_lattice(len(subs), pairs)
-    divs = module.ring.divisors
-    poset = build_poset(len(divs), [(i, j) for i, di in enumerate(divs)
-                                    for j, dj in enumerate(divs) if di % dj == 0])
+    n, divs, primes = module.ring.n, module.ring.divisors, module.ring.primes
+    # (dp) lies in (d); these covers generate the divisibility order.
+    slot = {d: j for j, d in enumerate(divs)}
+    poset = build_poset(len(divs), [(slot[d * p], j) for j, d in enumerate(divs)
+                                    for p in primes if n % (d * p) == 0])
     index = module._cache["sub_index"]
+    rows = {1: list(range(len(subs)))}
+    for p in primes:
+        image = module.scaling_map(p)
+        rows[p] = [index[frozenset([image[x] for x in s.members])] for s in subs]
     table = []
     for d in divs:
-        image = [module.smul(d, x) for x in range(module.size)]
-        table.append([index[frozenset(image[x] for x in s.members)] for s in subs])
+        row = rows.get(d)
+        if row is None:
+            p = next(p for p in primes if d % p == 0)
+            row = rows[d] = [rows[p][y] for y in rows[d // p]]
+        table.append(row)
     action = make_action(lat, poset, table)
     module._cache["bridge"] = (subs, lat, action)
     return lat, action

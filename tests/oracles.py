@@ -16,8 +16,10 @@ passes the minimality test written here from the definitions.
 
 The lattice references are the per-element quantifier loops that decided
 each element kind before the package computed whole spectra from violation
-bitmasks, and the class-based quotient and the rebuilt lower interval that
-the package replaced by restrictions of the lattice to an interval.
+bitmasks, the distributivity loops that called meet and join at each
+instance before the package read table rows, and the class-based quotient
+and the rebuilt lower interval that the package replaced by restrictions of
+the lattice to an interval.
 """
 
 import itertools
@@ -258,6 +260,20 @@ def spectrum_reference(action, kind):
     excluded = lat.top if kind in UPPER_KINDS else lat.bottom
     return tuple(x for x in range(lat.size)
                  if x != excluded and is_kind_reference(action, x, kind))
+
+
+def join_distributive_reference(action):
+    """s.(y join z) = (s.y) join (s.z) at every instance, through apply and join."""
+    lat = action.lattice
+    return all(action.apply(s, lat.join(y, z)) == lat.join(action.apply(s, y), action.apply(s, z))
+               for s in range(action.poset.size)
+               for y, z in itertools.combinations_with_replacement(lat.elements(), 2))
+
+
+def meets_distribute_reference(lat, pairs):
+    """low meet (k join n) = (low meet k) join (low meet n) at every pair and low."""
+    return all(lat.meet(low, lat.join(k, n)) == lat.join(lat.meet(low, k), lat.meet(low, n))
+               for k, n in pairs for low in lat.elements())
 
 
 def axioms_hold(lattice, poset, table):

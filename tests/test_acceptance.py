@@ -11,7 +11,7 @@ import oracles
 
 from hollowlat import pshollow as ph
 from hollowlat import spectra
-from hollowlat.cli import LATTICE_SIZE_LIMIT, main
+from hollowlat.cli import LATTICE_SIZE_LIMIT, RING_MODULUS_LIMIT, main
 from hollowlat.lattice import is_join_distributive, quotient
 from hollowlat.modules import (
     FiniteModule,
@@ -268,3 +268,32 @@ def test_verify_chain_at_lattice_size_limit(tmp_path, capsys):
     assert code == 0 and "FAIL" not in out, out[-500:]
     with capsys.disabled():
         finish(f"verify on a {size}-chain lattice spec", started, 60.0)
+
+
+def verify_module_spec(tmp_path, capsys, ring, factors):
+    spec = tmp_path / "ring.spec"
+    spec.write_text(f"ring {ring}\nmodule {factors}\n", encoding="utf-8")
+    code = main(["verify", "--in", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out, out[-500:]
+
+
+def test_verify_on_large_ring_moduli(tmp_path, capsys):
+    # The divisors used to come from a scan of 1..n: 7000000049 = 7 * 1000000007
+    # did not finish in 30 s, and 20000000 took 1.5 s.
+    for ring, factors in ((7000000049, "7"), (20000000, "2")):
+        started = time.perf_counter()
+        verify_module_spec(tmp_path, capsys, ring, factors)
+        with capsys.disabled():
+            finish(f"verify on ring {ring} module {factors}", started, 60.0)
+
+
+def test_verify_on_most_divisors_below_ring_modulus_limit(tmp_path, capsys):
+    # No modulus up to the limit has more divisors than 6983776800 (2304),
+    # and verify's work grows with the number of ideals.
+    ring = 6983776800
+    assert ring <= RING_MODULUS_LIMIT and len(Ring(ring).divisors) == 2304
+    started = time.perf_counter()
+    verify_module_spec(tmp_path, capsys, ring, "2")
+    with capsys.disabled():
+        finish(f"verify on ring {ring} module 2", started, 60.0)

@@ -4,6 +4,7 @@ import pytest
 
 from hollowlat.cli import (
     LATTICE_SIZE_LIMIT,
+    RING_MODULUS_LIMIT,
     ParseError,
     ValidationError,
     emit_dot,
@@ -221,6 +222,16 @@ class TestMalformedInput:
         spec = write(tmp_path, "l.spec", "# too large\n" + chain_spec(LATTICE_SIZE_LIMIT + 1))
         err = self.assert_rejected(["verify", "--in", spec], capsys)
         assert err.startswith("error: line 2: ") and str(LATTICE_SIZE_LIMIT) in err
+
+    def test_ring_above_modulus_limit(self, tmp_path, capsys):
+        # Module 2 divides the modulus: it is rejected only for its size.
+        spec = write(tmp_path, "m.spec", f"# too large\nring {RING_MODULUS_LIMIT + 2}\nmodule 2\n")
+        err = self.assert_rejected(["verify", "--in", spec], capsys)
+        assert err.startswith("error: line 2: ") and str(RING_MODULUS_LIMIT) in err
+
+    def test_ring_at_modulus_limit_parses(self, tmp_path):
+        spec = write(tmp_path, "m.spec", f"ring {RING_MODULUS_LIMIT}\nmodule 2\n")
+        assert parse_spec(spec).ring.n == RING_MODULUS_LIMIT
 
     @pytest.mark.parametrize("text,line", [
         ("lattice 0\nposet 1\n", 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import oracles
@@ -21,7 +22,7 @@ from hollowlat.lattice import (
     star_action,
     trivial_action,
 )
-from hollowlat.modules import FiniteModule, Ring, submodule_lattice
+from hollowlat.modules import FiniteModule, Ring, _meets_distribute, submodule_lattice
 from hollowlat.spectra import random_instance
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -265,6 +266,42 @@ class TestAgainstReferences:
             derived += [sub_act, low[1]]
         for d in derived:
             assert make_action(d.lattice, d.poset, d.table) == d
+
+
+class TestDistributivityAgainstReferences:
+    """The distributivity loops against the per-instance definitions in tests/oracles.py."""
+
+    @staticmethod
+    def without_tables(act):
+        # The same action on a lattice that keeps no meet or join table, as
+        # one above TABLE_LIMIT does, so its rows are computed on demand.
+        bare = dataclasses.replace(act.lattice, meet_table=None, join_table=None)
+        return dataclasses.replace(act, lattice=bare)
+
+    @staticmethod
+    def pair_sets(act):
+        lat = act.lattice
+        images = {act.top_image(s) for s in act.poset.elements()}
+        return (list(itertools.combinations_with_replacement(lat.elements(), 2)),
+                list(itertools.product(sorted(images), lat.elements())))
+
+    @pytest.mark.parametrize("act", [pytest.param(act, id=label)
+                                     for label, act in oracles.reference_actions()])
+    def test_same_verdicts(self, act):
+        want = oracles.join_distributive_reference(act)
+        assert is_join_distributive(act) == want
+        assert is_join_distributive(self.without_tables(act)) == want
+        for pairs in self.pair_sets(act):
+            want = oracles.meets_distribute_reference(act.lattice, pairs)
+            assert _meets_distribute(act.lattice, pairs) == want
+            assert _meets_distribute(self.without_tables(act).lattice, pairs) == want
+
+    def test_reference_actions_give_both_verdicts(self):
+        joins, meets = set(), set()
+        for _, act in oracles.reference_actions():
+            joins.add(is_join_distributive(act))
+            meets.update(_meets_distribute(act.lattice, pairs) for pairs in self.pair_sets(act))
+        assert joins == meets == {True, False}
 
 
 class TestActionPredicates:

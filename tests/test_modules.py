@@ -72,6 +72,14 @@ ENUMERATION_MODULES = [
 ]
 
 
+# Modules the bridge is compared with the member-set oracle on: the above, a
+# chain, two cyclic modules with several primes, one on which the prime 2
+# acts invertibly, and one whose factors share only part of the ring's primes.
+BRIDGE_MODULES = ENUMERATION_MODULES + [
+    (1024, (1024,)), (360, (360,)), (1260, (1260,)), (12, (3,)), (30, (6, 10)),
+]
+
+
 def assert_matches_closure(module):
     got, want = enumerate_submodules(module), oracles.closure_submodules(module)
     # Submodule equality compares the module, members, generators and index.
@@ -97,6 +105,13 @@ class TestRingAndIdeals:
 
     def test_zero_ideal_name(self):
         assert Ring(12).zero_ideal().name == "(0)"
+
+    def test_divisors_and_primes_match_a_scan(self):
+        for n in range(2, 1000):
+            divisors = tuple(d for d in range(1, n + 1) if n % d == 0)
+            assert Ring(n).divisors == divisors
+            assert Ring(n).primes == tuple(p for p in divisors[1:] if tau(p) == 2)
+        assert Ring(7000000049).divisors == (1, 7, 1000000007, 7000000049)
 
 
 class TestSpanAndEnumeration:
@@ -332,7 +347,9 @@ class TestBridge:
                     if not s.is_zero and is_second_submodule(s)} == expected
 
     def test_bridge_action_matches_ideal_apply(self):
-        for module in (z(12), FiniteModule(Ring(4), [4, 2])):
+        # Every divisor's row, prime or composed, against the member images.
+        for ring, factors in BRIDGE_MODULES:
+            module = FiniteModule(Ring(ring), factors)
             oracle = oracles.ModuleOracle(module)
             subs = enumerate_submodules(module)
             _, act = submodule_lattice(module)
@@ -341,3 +358,12 @@ class TestBridge:
                     image = oracle.ideal_product(d, sub.members)
                     assert subs[act.apply(s, x)].members == image
                     assert ideal_apply(Ideal(module.ring, d), sub).members == image
+
+    def test_whole_module_maps_match_smul_and_add(self):
+        for ring, factors in BRIDGE_MODULES:
+            module = FiniteModule(Ring(ring), factors)
+            elements = range(module.size)
+            for r in module.ring.divisors + (ring + 1, 2 * ring - 1):
+                assert module.scaling_map(r) == [module.smul(r, x) for x in elements], (ring, r)
+            for g in elements:
+                assert module.translation_map(g) == [module.add(x, g) for x in elements], (ring, g)
