@@ -14,7 +14,6 @@ every predicate a couple of machine ops at desk scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 # Meet/join tables are precomputed up to this size; beyond it lookups fall
@@ -275,8 +274,8 @@ def trivial_action(lattice: FiniteLattice, poset: FinitePoset | None = None) -> 
 
 def _top_rows(action: PosetAction, join: bool) -> tuple[tuple[int, ...], ...]:
     # The join (or meet) row of s.top for every poset element s.
-    return tuple(_row(action.lattice, action.top_image(s), join)
-                 for s in range(action.poset.size))
+    rows = _table(action.lattice, join)
+    return tuple(rows[action.top_image(s)] for s in range(action.poset.size))
 
 
 def dual_action(action: PosetAction) -> PosetAction:
@@ -298,12 +297,6 @@ def star_action(action: PosetAction) -> PosetAction:
     return PosetAction(action.lattice, action.poset, _top_rows(action, False))
 
 
-def _row(lat: FiniteLattice, x: int, join: bool) -> tuple[int, ...]:
-    """x join y (or x meet y) for every y, read from the table when there is one."""
-    table, op = (lat.join_table, lat.join) if join else (lat.meet_table, lat.meet)
-    return table[x] if table is not None else tuple(op(x, y) for y in range(lat.size))
-
-
 class _RowsOnDemand(dict):
     # The rows of a join (or meet) table the lattice does not keep, each
     # computed when first read.
@@ -312,7 +305,8 @@ class _RowsOnDemand(dict):
         self.lat, self.join = lat, join
 
     def __missing__(self, x: int) -> tuple[int, ...]:
-        row = self[x] = _row(self.lat, x, self.join)
+        rows = self.lat.up if self.join else self.lat.down
+        row = self[x] = tuple(_bound(rows, x, y) for y in range(self.lat.size))
         return row
 
 
@@ -346,8 +340,8 @@ def _interval(lat: FiniteLattice, low: int, high: int):
         return int("".join([digits[p] for p in picks]), 2)
 
     def restrict_table(join: bool) -> tuple[tuple[int, ...], ...]:
-        rows = [_row(lat, a, join) for a in elems]
-        return tuple(tuple([index[row[b]] for b in elems]) for row in rows)
+        rows = _table(lat, join)
+        return tuple(tuple([index[rows[a][b]] for b in elems]) for a in elems)
 
     meet = join = None
     if len(elems) <= TABLE_LIMIT:
@@ -385,7 +379,7 @@ def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction, d
     """
     lat = action.lattice
     sub, elems, index = _interval(lat, x, lat.top)
-    join_x = _row(lat, x, True)
+    join_x = _table(lat, True)[x]
     table = tuple(tuple([index[join_x[row[y]]] for y in elems]) for row in action.table)
     return sub, PosetAction(sub, action.poset, table), {y: i for i, y in enumerate(elems)}
 

@@ -43,7 +43,7 @@ from .lattice import (
     is_multiplication,
     make_action,
 )
-from .spectra import is_kind
+from .spectra import is_kind, spectrum
 
 DEFAULT_ORDER_BOUND = 4096
 ORDER_BOUND_ENV = "HOLLOWLAT_BOUND"
@@ -511,13 +511,6 @@ def sum_all(module, summands) -> Submodule:
     return subs[total]
 
 
-def is_irredundant(module, summands) -> bool:
-    """No summand lies in the sum of the others."""
-    summands = tuple(summands)
-    return not any(summands[j].le(sum_all(module, summands[:j] + summands[j + 1:]))
-                   for j in range(len(summands)))
-
-
 def irredundant_families(module, candidates, compatible=None, max_terms=None
                          ) -> tuple[tuple[Submodule, ...], ...]:
     """Irredundant families of candidates that sum to the whole module.
@@ -734,10 +727,16 @@ def is_lifting_module(module) -> bool:
     return True
 
 
+def _maximal(module, candidates) -> tuple[Submodule, ...]:
+    """The candidates whose up rows hold no other candidate, in their given order."""
+    up = _bridge(module)[1].up
+    mask = sum(1 << s.index for s in candidates)
+    return tuple(s for s in candidates if up[s.index] & mask == 1 << s.index)
+
+
 def maximal_hollow_submodules(module) -> tuple[Submodule, ...]:
-    hollows = [s for s in enumerate_submodules(module) if not s.is_zero and is_hollow_module(s)]
-    return tuple(h for h in hollows
-                 if not any(h.members < other.members for other in hollows))
+    subs, _, act = _bridge(module)
+    return _maximal(module, [subs[i] for i in spectrum(act, "hollow")])
 
 
 def is_s_lifting_module(module) -> bool:
@@ -750,8 +749,8 @@ def is_s_lifting_module(module) -> bool:
 # -- second representations ---------------------------------------------------
 
 def find_second_submodules(module) -> tuple[Submodule, ...]:
-    return tuple(s for s in enumerate_submodules(module)
-                 if not s.is_zero and is_second_submodule(s))
+    subs, _, act = _bridge(module)
+    return tuple(subs[i] for i in spectrum(act, "second"))
 
 
 def find_minimal_second_representations(module) -> tuple[tuple[Submodule, ...], ...]:

@@ -1,9 +1,12 @@
 """Pseudo strongly hollow submodules, their profiles, and representation theory.
 
 A nonzero submodule N is pseudo strongly hollow (ps-hollow) when N <= IM + L
-forces N <= IM or N <= L, for every ideal I and submodule L.  Its profile
-records the covering ideals (those with N <= IM), the inclusion-minimal ones,
-and the hull: the intersection of the minimal ideal multiples of the module.
+forces N <= IM or N <= L, for every ideal I and submodule L.  Everything is
+read off the submodule lattice and its ideal action, in which poset element
+s is the ideal I of the s-th divisor and s.top is IM.  The ps-hollow
+submodules are a spectrum of the action, and the profile of N records its
+covers {s : N <= s.top}, the poset-minimal covers, and the hull, the meet of
+their tops.
 
 A hollow representation writes the module as a finite sum of ps-hollow
 submodules; it is minimal when the summand hulls are pairwise incomparable
@@ -21,23 +24,24 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .lattice import lower_interval
 from .modules import (
     Ideal,
     ModuleError,
     Submodule,
     ZeroSubmodule,
+    _factor,
+    _maximal,
     annihilator,
     distinct_ideal_images,
     enumerate_submodules,
     find_minimal_second_representations,
     find_second_submodules,
-    ideal_image,
     ideal_set_names,
     intersect,
     irredundant_families,
     is_comultiplication_module,
     is_distributive_module,
-    is_irredundant,
     is_multiplication_module,
     is_second_submodule,
     is_semisimple_module,
@@ -51,7 +55,7 @@ from .modules import (
     whole_module,
 )
 from .report import Report
-from .spectra import is_kind
+from .spectra import is_kind, spectrum
 
 NONSMALL_READING_FLAG = (
     "non-small inheritance reads smallness of K inside N; the moreover clause "
@@ -120,36 +124,51 @@ def is_ps_hollow(sub: Submodule) -> bool:
 
 
 def profile(sub: Submodule) -> HollowProfile:
+    """Covers, minimal covers and hull of sub, read from the ideal action.
+
+    The covers are the poset elements s with sub <= s.top, in divisor order;
+    the minimal ones have no other cover below them in the poset, which is
+    ideal inclusion; the hull is the meet of their tops.
+    """
     if sub.is_zero:
         raise ZeroSubmodule("profiles are undefined on the zero submodule")
     module = sub.module
     cache = module._cache.setdefault("profiles", {})
     got = cache.get(sub.index)
     if got is None:
-        covers = tuple(i for i in module.ring.ideals()
-                       if sub.le(ideal_image(module, i)))
-        min_covers = tuple(i for i in covers
-                           if not any(j != i and j.le(i) for j in covers))
-        hull = whole_module(module)
-        for i in min_covers:
-            hull = intersect(hull, ideal_image(module, i))
-        got = HollowProfile(sub, covers, min_covers, hull, is_ps_hollow(sub))
+        lat, act = submodule_lattice(module)
+        poset = act.poset
+        covers = [s for s in poset.elements() if lat.le(sub.index, act.top_image(s))]
+        above = 0  # the covers with another cover strictly below them
+        for s in covers:
+            above |= poset.up[s] & ~(1 << s)
+        min_covers = [s for s in covers if not above >> s & 1]
+        hull = lat.top
+        for s in min_covers:
+            hull = lat.meet(hull, act.top_image(s))
+        ideals = module.ring.ideals()
+        got = HollowProfile(sub, tuple(ideals[s] for s in covers),
+                            tuple(ideals[s] for s in min_covers),
+                            enumerate_submodules(module)[hull], is_ps_hollow(sub))
         cache[sub.index] = got
     return got
 
 
 def find_ps_hollow_submodules(module) -> tuple[tuple[Submodule, HollowProfile], ...]:
     """All ps-hollow submodules with their profiles, in canonical order."""
-    return tuple((s, profile(s)) for s in enumerate_submodules(module)
-                 if not s.is_zero and is_ps_hollow(s))
+    subs = enumerate_submodules(module)
+    return tuple((subs[i], profile(subs[i]))
+                 for i in spectrum(submodule_lattice(module)[1], "ps_hollow"))
 
 
 def is_hollow_ideal(ideal: Ideal) -> bool:
-    """No two proper sub-sums: (a) + (b) = (d) forces (a) = (d) or (b) = (d)."""
-    divs = ideal.ring.divisors
-    return all(a == ideal.d or b == ideal.d
-               for a, b in itertools.product(divs, divs)
-               if math.gcd(a, b) == ideal.d)
+    """No two proper sub-sums: (a) + (b) = (d) forces (a) = (d) or (b) = (d).
+
+    That holds exactly when n/d is 1 or a prime power: the ideals between (d)
+    and (n) then form a chain, and otherwise (dp) + (dq) = (d) for two primes
+    p and q dividing n/d.
+    """
+    return len(_factor(ideal.ring.n // ideal.d)) <= 1
 
 
 def check_min_cover_ideals(module) -> Report:
@@ -217,32 +236,24 @@ def _hulls_incomparable(a: Submodule, b: Submodule) -> bool:
     return not (ha.le(hb) or hb.le(ha))
 
 
-def is_minimal_family(module, summands) -> bool:
-    """Summand hulls pairwise incomparable and no summand redundant.
-
-    The boolean form of minimality_witnesses, which formats no names.
-    """
-    summands = tuple(summands)
-    return (all(_hulls_incomparable(a, b) for a, b in itertools.combinations(summands, 2))
-            and is_irredundant(module, summands))
+def _rest_sums(module, summands) -> list[Submodule]:
+    """For each summand, the sum of all the others."""
+    return [sum_all(module, summands[:j] + summands[j + 1:]) for j in range(len(summands))]
 
 
 def minimality_witnesses(module, summands) -> tuple[str, ...]:
     """Violations of the two minimality conditions, empty when minimal.
 
-    Report paths only; is_minimal_family answers the same question as a
-    boolean.
+    The summand hulls must be pairwise incomparable, and no summand may lie
+    in the sum of the others.
     """
     out = []
-    profs = [profile(s) for s in summands]
-    for i, j in itertools.combinations(range(len(summands)), 2):
-        hi, hj = profs[i].hull, profs[j].hull
-        if hi.le(hj) or hj.le(hi):
-            out.append(f"hull({summands[i].name})~hull({summands[j].name})")
-    for j in range(len(summands)):
-        rest = sum_all(module, summands[:j] + summands[j + 1:])
-        if summands[j].le(rest):
-            out.append(f"{summands[j].name}<=rest")
+    for a, b in itertools.combinations(summands, 2):
+        if not _hulls_incomparable(a, b):
+            out.append(f"hull({a.name})~hull({b.name})")
+    for s, rest in zip(summands, _rest_sums(module, summands)):
+        if s.le(rest):
+            out.append(f"{s.name}<=rest")
     return tuple(out)
 
 
@@ -265,7 +276,7 @@ def make_representation(module, summands) -> Representation:
     if sum_all(module, summands).order != module.size:
         raise ValueError("summands do not sum to the whole module")
     profs = tuple(profile(s) for s in summands)
-    return Representation(module, summands, profs, is_minimal_family(module, summands))
+    return Representation(module, summands, profs, not minimality_witnesses(module, summands))
 
 
 def minimize(rep: Representation) -> Representation:
@@ -282,11 +293,8 @@ def minimize(rep: Representation) -> Representation:
     while True:
         parts.sort(key=Submodule.sort_key)
 
-        redundant = None
-        for j in range(len(parts)):
-            if parts[j].le(sum_all(module, parts[:j] + parts[j + 1:])):
-                redundant = j
-                break
+        redundant = next((j for j, rest in enumerate(_rest_sums(module, parts))
+                          if parts[j].le(rest)), None)
         if redundant is not None:
             del parts[redundant]
             continue
@@ -372,7 +380,7 @@ def verify_first_uniqueness(r1: Representation, r2: Representation) -> Report:
     bad = []
     for p1 in r1.profiles:
         for p2 in r2.profiles:
-            if p1.family == p2.family and p1.hull.members != p2.hull.members:
+            if p1.family == p2.family and p1.hull.index != p2.hull.index:
                 bad.append(f"{p1.family_name}:{p1.hull.name}!={p2.hull.name}")
     rep.check("first_uniqueness.hulls_match", not bad, *bad)
     return rep
@@ -409,7 +417,7 @@ def verify_second_uniqueness(r1: Representation, r2: Representation) -> Report:
     for p1, p2 in pairs:
         if any(other < p1.family for other in families):
             continue
-        same = p1.submodule.members == p2.submodule.members
+        same = p1.submodule.index == p2.submodule.index
         hull_ps = is_ps_hollow(p1.hull) if not p1.hull.is_zero else False
         rep.check(f"second_uniqueness.{p1.family_name}", same or not hull_ps,
                   f"left={p1.submodule.name}", f"right={p2.submodule.name}",
@@ -436,7 +444,7 @@ def check_aligned_equality(r1: Representation, r2: Representation) -> Report:
         rep.gate("aligned_equality", str(exc))
         return rep
     bad = [f"{p1.submodule.name}!={p2.submodule.name}"
-           for p1, p2 in pairs if p1.submodule.members != p2.submodule.members]
+           for p1, p2 in pairs if p1.submodule.index != p2.submodule.index]
     rep.check("aligned_equality", not bad, *bad)
     return rep
 
@@ -457,9 +465,9 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     unmet = []
     if sub.is_zero or not is_ps_hollow(sub):
         unmet.append(f"{sub.name}-not-ps-hollow")
-    images = {img.members for img in distinct_ideal_images(module)}
+    images = {img.index for img in distinct_ideal_images(module)}
     outside = [k.name for k in enumerate_submodules(module)
-               if not is_small(k) and k.members not in images]
+               if k.index not in images and not is_small(k)]
     if outside:
         unmet.append("non-small-not-ideal-multiple:" + ",".join(outside))
     if unmet:
@@ -475,12 +483,6 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
                   f"ps_hollow={kp.ps_hollow}", f"family={kp.family_name}",
                   f"covers={ideal_set_names(kp.covers)}")
     return rep
-
-
-def _maximal_seconds(module) -> list[Submodule]:
-    seconds = find_second_submodules(module)
-    return [k for k in seconds
-            if not any(k.members < other.members for other in seconds)]
 
 
 def _four_equivalents(module) -> dict[str, bool]:
@@ -505,12 +507,12 @@ def check_semisimple_equivalences(module) -> Report:
     unmet = []
     if not is_semisimple_module(module):
         unmet.append("not-semisimple")
-    maximal = _maximal_seconds(module)
+    maximal = _maximal(module, find_second_submodules(module))
     ann_whole = annihilator(whole_module(module))
     for n in maximal:
         rest = module.ring.unit_ideal()
         for k in maximal:
-            if k.members != n.members:
+            if k.index != n.index:
                 rest = rest.intersect(annihilator(k))
         if rest.d == ann_whole.d:
             unmet.append(f"annihilator-separation-fails-at:{n.name}")
@@ -543,10 +545,7 @@ def check_second_rep_equivalences(module) -> Report:
     rep.check("second_rep_attached_consistent", len(set(att_sets)) == 1,
               *(ideal_set_names(Ideal(module.ring, d) for d in s)
                 for s in sorted(set(att_sets), key=sorted)))
-    att = sorted(att_sets[0])
-    incomparable = all(a == b or (a % b and b % a)
-                       for a, b in itertools.product(att, att))
-    if not incomparable:
+    if not _annihilators_incomparable(att_sets[0]):
         unmet.append("attached-annihilators-comparable")
     if unmet:
         rep.gate("second_rep_equivalences", *unmet)
@@ -557,15 +556,24 @@ def check_second_rep_equivalences(module) -> Report:
     return rep
 
 
+def _annihilators_incomparable(ds) -> bool:
+    """Whether no two of the ideals (d), d in ds, are comparable unless equal."""
+    return all(a == b or (a % b and b % a) for a, b in itertools.combinations(ds, 2))
+
+
 def _is_direct(module, summands) -> bool:
     return math.prod(s.order for s in summands) == module.size
 
 
-def _strongly_irreducible_within(x: Submodule, ambient: Submodule) -> bool:
-    inside = submodules_within(ambient)
-    return all(a.le(x) or b.le(x)
-               for a, b in itertools.product(inside, inside)
-               if intersect(a, b).le(x))
+def _gate_or_check_direct(rep: Report, claim: str, unmet, module, summands) -> Report:
+    """Gate the claim on the unmet hypotheses, or else check that the sum is direct."""
+    if unmet:
+        rep.gate(claim, *unmet)
+    else:
+        rep.check(claim, _is_direct(module, summands),
+                  f"orders={'x'.join(str(s.order) for s in summands)}",
+                  f"module={module.size}")
+    return rep
 
 
 def check_direct_sum_criteria(module, summands, part: int) -> Report:
@@ -592,21 +600,19 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
 
     if part == 1:
         claim = "direct_sum.second_route"
+        rests = _rest_sums(module, summands)
         if not unmet:
             if not all(is_second_submodule(s) for s in summands):
                 unmet.append("summands-not-all-second")
-            if not is_irredundant(module, summands):
+            if any(s.le(rest) for s, rest in zip(summands, rests)):
                 unmet.append("redundant-summand")
-            att = [annihilator(k).d for k in summands]
-            if not all(a == b or (a % b and b % a)
-                       for a, b in itertools.combinations(att, 2)):
+            if not _annihilators_incomparable([annihilator(k).d for k in summands]):
                 unmet.append("attached-annihilators-comparable")
         if not unmet:
-            for j in range(len(summands)):
-                inter = intersect(summands[j],
-                                  sum_all(module, summands[:j] + summands[j + 1:]))
+            for s, rest in zip(summands, rests):
+                inter = intersect(s, rest)
                 if not inter.is_zero and not is_ps_hollow(inter):
-                    unmet.append(f"rest-intersection-not-ps-hollow:{summands[j].name}")
+                    unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
         if unmet:
             rep.gate(claim, *unmet)
             return rep
@@ -624,26 +630,23 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
             unmet.append("not-distributive")
         if any(not is_ps_hollow(s) for s in summands):
             unmet.append("summand-not-ps-hollow")
-        elif not is_minimal_family(module, summands):
+        elif minimality_witnesses(module, summands):
             unmet.append("representation-not-minimal")
     if not unmet:
+        _, act = submodule_lattice(module)
         for s in summands:
             fam = profile(s).family
-            for x in submodules_within(s):
+            # Member i of the interval [0, s] is the i-th submodule within s.
+            inner = lower_interval(act, s.index)[1]
+            for i, x in enumerate(submodules_within(s)):
                 if x.is_zero:
                     continue
-                if x.members != s.members and _strongly_irreducible_within(x, s):
+                if x.index != s.index and is_kind(inner, i, "strongly_irreducible"):
                     continue
                 if is_ps_hollow(x) and profile(x).family == fam:
                     continue
                 unmet.append(f"submodule-alternative-fails:{x.name}-in-{s.name}")
-    if unmet:
-        rep.gate(claim, *unmet)
-        return rep
-    rep.check(claim, _is_direct(module, summands),
-              f"orders={'x'.join(str(s.order) for s in summands)}",
-              f"module={module.size}")
-    return rep
+    return _gate_or_check_direct(rep, claim, unmet, module, summands)
 
 
 def check_hull_disjoint_directness(module, representation: Representation) -> Report:
@@ -663,13 +666,7 @@ def check_hull_disjoint_directness(module, representation: Representation) -> Re
     for p, q in itertools.combinations(representation.profiles, 2):
         if not intersect(p.hull, q.hull).is_zero:
             unmet.append(f"hulls-overlap:{p.hull.name}&{q.hull.name}")
-    if unmet:
-        rep.gate(claim, *unmet)
-        return rep
-    rep.check(claim, _is_direct(module, representation.summands),
-              f"orders={'x'.join(str(s.order) for s in representation.summands)}",
-              f"module={module.size}")
-    return rep
+    return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)
 
 
 def check_hull_inheritance_directness(module, representation: Representation) -> Report:
@@ -687,10 +684,4 @@ def check_hull_inheritance_directness(module, representation: Representation) ->
                 continue
             if not is_ps_hollow(x) or profile(x).family != prof.family:
                 unmet.append(f"hull-submodule-breaks-family:{x.name}-in-{prof.hull.name}")
-    if unmet:
-        rep.gate(claim, *unmet)
-        return rep
-    rep.check(claim, _is_direct(module, representation.summands),
-              f"orders={'x'.join(str(s.order) for s in representation.summands)}",
-              f"module={module.size}")
-    return rep
+    return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)

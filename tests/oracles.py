@@ -8,7 +8,10 @@ closure_submodules, the closure enumeration the package's structural one
 replaced; every sum, meet, ideal product and hull here is computed from
 their member sets.
 
-ModuleOracle holds the definitions for one module.  The search references
+ModuleOracle holds the definitions for one module, among them the profile
+(covers, minimal covers, hull) and strong irreducibility inside a submodule
+that the package reads off the ideal action and a lower interval.  The
+hollow-ideal reference tries every pair of divisors.  The search references
 are the exhaustive subset loops the package's pruned depth-first search
 replaced: every combination of candidates is tried, by size, in
 ``itertools.combinations`` order, and kept when it sums to the module and
@@ -23,6 +26,7 @@ the lattice to an interval.
 """
 
 import itertools
+import math
 
 from hollowlat.lattice import _bits, build_lattice, make_action
 from hollowlat.modules import FiniteModule, Ring, Submodule, submodule_lattice
@@ -114,13 +118,20 @@ class ModuleOracle:
         """(d)A: every d-fold multiple of a member of A."""
         return frozenset(self.module.smul(d, x) for x in a)
 
+    def covers(self, n):
+        """The divisors d with N <= (d)M, ascending."""
+        return [d for d in self.divisors if n <= self.images[d]]
+
+    def min_covers(self, n):
+        """The covers d whose ideal contains no other cover's ideal."""
+        covers = self.covers(n)
+        # (e) lies in (d) exactly when d divides e.
+        return [d for d in covers if not any(e != d and e % d == 0 for e in covers)]
+
     def hull(self, n):
         """Intersection of the images IM over the minimal ideals I with N <= IM."""
-        covers = [d for d in self.divisors if n <= self.images[d]]
-        # (e) lies in (d) exactly when d divides e.
-        minimal = [d for d in covers if not any(e != d and e % d == 0 for e in covers)]
         hull = self.whole
-        for d in minimal:
+        for d in self.min_covers(n):
             hull = hull & self.images[d]
         return hull
 
@@ -140,6 +151,12 @@ class ModuleOracle:
         inside = [s.members for s in self.subs if s.members <= n]
         return all(a == n or b == n or self.add(a, b) != n
                    for a, b in itertools.product(inside, inside))
+
+    def strongly_irreducible_within(self, x, ambient):
+        """A & B <= X forces A <= X or B <= X, for all submodules A, B inside ambient."""
+        inside = [s.members for s in self.subs if s.members <= ambient]
+        return all(a <= x or b <= x
+                   for a, b in itertools.product(inside, inside) if a & b <= x)
 
     def small(self, n, ambient=None):
         """N + L = ambient forces L = ambient, for L inside ambient (default M)."""
@@ -195,6 +212,16 @@ def minimal_second_families(module):
     oracle = ModuleOracle(module)
     seconds = [s for s in oracle.subs if not s.is_zero and oracle.second(s.members)]
     return oracle.search(seconds, oracle.irredundant, len(seconds))
+
+
+def hollow_ideal_reference(n, d):
+    """(d) in Z/nZ is hollow: (a) + (b) = (d) forces (a) = (d) or (b) = (d).
+
+    Every pair of divisors a, b of n is tried; (a) + (b) is (gcd(a, b)).
+    """
+    divs = [e for e in range(1, n + 1) if n % e == 0]
+    return all(a == d or b == d
+               for a, b in itertools.product(divs, divs) if math.gcd(a, b) == d)
 
 
 # -- lattice references ----------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import oracles
 import pytest
 
+from hollowlat.lattice import lower_interval
 from hollowlat.modules import (
     FiniteModule,
     Ideal,
@@ -13,6 +14,8 @@ from hollowlat.modules import (
     find_second_submodules,
     is_hollow_module,
     span,
+    submodule_lattice,
+    submodules_within,
     whole_module,
     zero_submodule,
 )
@@ -31,7 +34,6 @@ from hollowlat.pshollow import (
     find_ps_hollow_submodules,
     is_hollow_ideal,
     is_minimal,
-    is_minimal_family,
     is_ps_hollow,
     make_representation,
     minimality_witnesses,
@@ -157,6 +159,13 @@ class TestHollowIdeals:
 
     def test_unit_ideal_hollow_in_prime_ring(self):
         assert is_hollow_ideal(Ideal(Ring(5), 1))
+
+    def test_matches_pair_reference(self):
+        # every divisor of every modulus below 1000 against the divisor-pair loop
+        for n in range(2, 1000):
+            ring = Ring(n)
+            for d in ring.divisors:
+                assert is_hollow_ideal(Ideal(ring, d)) == oracles.hollow_ideal_reference(n, d), (n, d)
 
     def test_min_cover_scan(self):
         for n in (12, 30, 60):
@@ -301,10 +310,13 @@ class TestSearchAgainstOracle:
                              ids=[module_id(c) for c in WITNESS_MODULES])
     def test_boolean_minimality_agrees_with_witnesses(self, ring, factors):
         m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
         hollows = [s for s, _ in find_ps_hollow_submodules(m)]
         for size in (1, 2, 3):
             for family in itertools.combinations(hollows, size):
-                assert is_minimal_family(m, family) == (not minimality_witnesses(m, family))
+                expected = (oracle.irredundant(family)
+                            and oracle.hulls_pairwise_incomparable(family))
+                assert (not minimality_witnesses(m, family)) == expected, family
 
 
 class TestUniqueness:
@@ -456,7 +468,26 @@ class TestCrossLayerConsistency:
                     assert (ideal_apply(Ideal(module.ring, d), a).members
                             == oracle.ideal_product(d, a.members))
                 if not a.is_zero:
-                    assert profile(a).hull.members == oracle.hull(a.members)
+                    prof = profile(a)
+                    assert [i.d for i in prof.covers] == oracle.covers(a.members)
+                    assert [i.d for i in prof.min_covers] == oracle.min_covers(a.members)
+                    assert prof.hull.members == oracle.hull(a.members)
+
+    @pytest.mark.parametrize("ring,factors", WITNESS_MODULES,
+                             ids=[module_id(c) for c in WITNESS_MODULES])
+    def test_inner_strong_irreducibility_matches_reference(self, ring, factors):
+        # the lower-interval verdict of the distributive route, at every x < s
+        from hollowlat.spectra import is_kind
+        module = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(module)
+        _, action = submodule_lattice(module)
+        for s in enumerate_submodules(module):
+            inner = lower_interval(action, s.index)[1]
+            for i, x in enumerate(submodules_within(s)):
+                if x.index != s.index:
+                    assert (is_kind(inner, i, "strongly_irreducible")
+                            == oracle.strongly_irreducible_within(x.members, s.members)), (
+                        s.name, x.name)
 
     def test_pseudo_distributive_hollow_implies_ps_hollow(self):
         from hollowlat.modules import is_pseudo_distributive_module

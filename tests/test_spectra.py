@@ -1,7 +1,10 @@
+import collections
+
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hollowlat import spectra
 from hollowlat.lattice import (
     build_lattice,
     build_poset,
@@ -171,6 +174,23 @@ class TestDualityChecks:
         act = make_action(m3, build_poset(1, []), [[0, 1, 0, 0, 1]])
         rep = check_duality_theorem(act, 4)
         assert rep.findings[0].verdict == "hypothesis-unmet"
+
+    def test_parts_3_and_4_build_each_quotient_once(self, monkeypatch):
+        # Every non-top element of a chain under the identity action is prime,
+        # and the action is join distributive, so both parts visit every x.
+        calls = collections.Counter()
+        original = spectra.quotient
+
+        def counting(action, x):
+            calls[x] += 1
+            return original(action, x)
+
+        monkeypatch.setattr(spectra, "quotient", counting)
+        act = trivial_action(chain(12))
+        rep3, rep4 = check_duality_theorem(act, 3), check_duality_theorem(act, 4)
+        assert rep3.ok and rep4.ok
+        assert len(rep3.findings) == len(rep4.findings) == 11
+        assert calls == collections.Counter(range(11))
 
     def test_explicit_spectra_by_hand(self):
         # square with atoms 1 and 2, action s.x = 1 meet x.  By hand: 1 is
