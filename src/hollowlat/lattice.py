@@ -9,16 +9,15 @@ the axioms by construction, each for the reason its docstring gives, and
 build their tables directly; the tests check them against make_action.
 
 Order relations are stored as bitmask rows, one int per element, which keeps
-every predicate a couple of machine ops at desk scale.
+every predicate a couple of machine ops at desk scale.  There is one
+representation of an order: every poset keeps both its up and its down rows,
+so its dual swaps them, and every lattice, whatever its size, also keeps its
+meet and join tables, so its dual swaps those too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-# Meet/join tables are precomputed up to this size; beyond it lookups fall
-# back to an on-demand scan.
-TABLE_LIMIT = 512
 
 
 class LatticeError(Exception):
@@ -82,6 +81,7 @@ class FinitePoset:
 
     size: int
     up: tuple[int, ...] = field(repr=False)  # up[i] = bitmask of {j : i <= j}
+    down: tuple[int, ...] = field(repr=False)  # down[i] = bitmask of {j : j <= i}
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -104,7 +104,7 @@ class FinitePoset:
         return out
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.size, _transpose(self.up))
+        return FinitePoset(self.size, self.down, self.up)
 
     def linear_extension(self) -> list[int]:
         """Elements ordered so that comparabilities point forward."""
@@ -114,7 +114,8 @@ class FinitePoset:
 def build_poset(size: int, pairs) -> FinitePoset:
     if size < 1:
         raise NotAPartialOrder("poset must be non-empty")
-    return FinitePoset(size, tuple(_close_and_check(size, pairs)))
+    up = tuple(_close_and_check(size, pairs))
+    return FinitePoset(size, up, _transpose(up))
 
 
 @dataclass(frozen=True)
@@ -127,45 +128,32 @@ class FiniteLattice(FinitePoset):
 
     bottom: int
     top: int
-    down: tuple[int, ...] = field(repr=False)  # down[i] = {j : j <= i}
-    meet_table: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
-    join_table: tuple[tuple[int, ...], ...] | None = field(default=None, repr=False)
+    meet_table: tuple[tuple[int, ...], ...] = field(repr=False)
+    join_table: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def meet(self, x: int, y: int) -> int:
-        if self.meet_table is not None:
-            return self.meet_table[x][y]
-        return _bound(self.down, x, y)
+        return self.meet_table[x][y]
 
     def join(self, x: int, y: int) -> int:
-        if self.join_table is not None:
-            return self.join_table[x][y]
-        return _bound(self.up, x, y)
+        return self.join_table[x][y]
 
     def dual(self) -> "FiniteLattice":
         return FiniteLattice(
             size=self.size,
             up=self.down,
+            down=self.up,
             bottom=self.top,
             top=self.bottom,
-            down=self.up,
             meet_table=self.join_table,
             join_table=self.meet_table,
         )
 
 
-def _bound(rows: tuple[int, ...], x: int, y: int) -> int:
-    # With rows = down this is the meet, with rows = up the join: the common
-    # bound whose own row is all the common bounds.
-    common = rows[x] & rows[y]
-    return next(m for m in _bits(common) if rows[m] == common)
-
-
-def _bound_table(rows: tuple[int, ...], keep: bool):
+def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The meet table from the down rows, or the join table from the up rows.
 
     x and y have a meet exactly when their common lower bounds are the down
-    row of some element, the meet; dually for joins.  Returns the table when
-    ``keep`` is set, else only checks that every pair has its bound.
+    row of some element, the meet; dually for joins.
     """
     owner = {row: m for m, row in enumerate(rows)}
     table = []
@@ -173,9 +161,8 @@ def _bound_table(rows: tuple[int, ...], keep: bool):
         line = tuple([owner.get(row & other, -1) for other in rows])
         if -1 in line:
             raise MeetOrJoinMissing(f"no unique bound for pair ({x}, {line.index(-1)})")
-        if keep:
-            table.append(line)
-    return tuple(table) if keep else None
+        table.append(line)
+    return tuple(table)
 
 
 def build_lattice(size: int, leq_pairs) -> FiniteLattice:
@@ -190,8 +177,8 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
         raise Unbounded("a lattice needs at least one element")
     up = tuple(_close_and_check(size, leq_pairs))
     down = _transpose(up)
-    meet = _bound_table(down, size <= TABLE_LIMIT)
-    join = _bound_table(up, size <= TABLE_LIMIT)
+    meet = _bound_table(down)
+    join = _bound_table(up)
     full = (1 << size) - 1
     bottoms = [i for i in range(size) if up[i] == full]
     tops = [i for i in range(size) if down[i] == full]
@@ -200,7 +187,7 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     # A finite partial order in which every pair has a unique meet and join
     # is a lattice, so the lattice laws need no check here; the tests check
     # them on random and submodule lattices.
-    return FiniteLattice(size, up, bottoms[0], tops[0], down, meet, join)
+    return FiniteLattice(size, up, down, bottoms[0], tops[0], meet, join)
 
 
 def chain(size: int) -> FiniteLattice:
@@ -274,7 +261,8 @@ def trivial_action(lattice: FiniteLattice, poset: FinitePoset | None = None) -> 
 
 def _top_rows(action: PosetAction, join: bool) -> tuple[tuple[int, ...], ...]:
     # The join (or meet) row of s.top for every poset element s.
-    rows = _table(action.lattice, join)
+    lat = action.lattice
+    rows = lat.join_table if join else lat.meet_table
     return tuple(rows[action.top_image(s)] for s in range(action.poset.size))
 
 
@@ -295,26 +283,6 @@ def star_action(action: PosetAction) -> PosetAction:
     Meeting with s.top is deflationary and monotone, and s.top is monotone in s.
     """
     return PosetAction(action.lattice, action.poset, _top_rows(action, False))
-
-
-class _RowsOnDemand(dict):
-    # The rows of a join (or meet) table the lattice does not keep, each
-    # computed when first read.
-    def __init__(self, lat: FiniteLattice, join: bool):
-        super().__init__()
-        self.lat, self.join = lat, join
-
-    def __missing__(self, x: int) -> tuple[int, ...]:
-        rows = self.lat.up if self.join else self.lat.down
-        row = self[x] = tuple(_bound(rows, x, y) for y in range(self.lat.size))
-        return row
-
-
-def _table(lat: FiniteLattice, join: bool):
-    """The join (or meet) table, indexed [x][y]; rows are computed on demand
-    for a lattice above TABLE_LIMIT, which keeps no table."""
-    table = lat.join_table if join else lat.meet_table
-    return table if table is not None else _RowsOnDemand(lat, join)
 
 
 def _interval(lat: FiniteLattice, low: int, high: int):
@@ -339,16 +307,13 @@ def _interval(lat: FiniteLattice, low: int, high: int):
         digits = format(row, width)
         return int("".join([digits[p] for p in picks]), 2)
 
-    def restrict_table(join: bool) -> tuple[tuple[int, ...], ...]:
-        rows = _table(lat, join)
+    def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple([index[rows[a][b]] for b in elems]) for a in elems)
 
-    meet = join = None
-    if len(elems) <= TABLE_LIMIT:
-        meet, join = restrict_table(False), restrict_table(True)
     sub = FiniteLattice(len(elems), tuple(restrict(lat.up[y]) for y in elems),
+                        tuple(restrict(lat.down[y]) for y in elems),
                         index[low], index[high],
-                        tuple(restrict(lat.down[y]) for y in elems), meet, join)
+                        restrict_table(lat.meet_table), restrict_table(lat.join_table))
     return sub, elems, index
 
 
@@ -365,23 +330,24 @@ def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAct
     return sub, PosetAction(sub, action.poset, table)
 
 
-def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction, dict[int, int]]:
+def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
     """Quotient lattice at x: the upper interval [x, top] with s.y -> (s.y) join x.
 
     The quotient identifies y, z >= x when {y' join x : y' <= y} and
     {z' join x : z' <= z} coincide.  For y >= x the first set has greatest
     element y join x = y, so two elements are identified only when they are
     equal: every class is a singleton, the class order is the lattice order,
-    and the quotient is the interval itself.  The class map sends each
-    y >= x to its position in [x, top] in ascending identifier order.  The
-    induced action satisfies the axioms: (s.y) join x <= y join x = y, and it
-    is monotone in s and in y because s.y is and joining with x is.
+    and the quotient is the interval itself, with no class map: the class of
+    y >= x is its position in [x, top] in ascending identifier order, so the
+    class of x is the bottom of the result.  The induced action satisfies the
+    axioms: (s.y) join x <= y join x = y, and it is monotone in s and in y
+    because s.y is and joining with x is.
     """
     lat = action.lattice
     sub, elems, index = _interval(lat, x, lat.top)
-    join_x = _table(lat, True)[x]
+    join_x = lat.join_table[x]
     table = tuple(tuple([index[join_x[row[y]]] for y in elems]) for row in action.table)
-    return sub, PosetAction(sub, action.poset, table), {y: i for i, y in enumerate(elems)}
+    return sub, PosetAction(sub, action.poset, table)
 
 
 def is_multiplication(action: PosetAction) -> bool:
@@ -398,7 +364,7 @@ def is_join_distributive(action: PosetAction) -> bool:
     search.  Both joins are read from rows of the join table: the row of y
     for y join z, the row of s.y for (s.y) join (s.z).
     """
-    joins = _table(action.lattice, True)
+    joins = action.lattice.join_table
     size = action.lattice.size
     for row in action.table:
         for y in range(size):

@@ -37,7 +37,6 @@ from .lattice import (
     FiniteLattice,
     PosetAction,
     _bits,
-    _table,
     build_lattice,
     build_poset,
     is_multiplication,
@@ -581,12 +580,6 @@ def ideal_apply(ideal: Ideal, sub: Submodule) -> Submodule:
     return subs[act.apply(s, sub.index)]
 
 
-def ideal_image(module, ideal: Ideal) -> Submodule:
-    """The submodule (d)M."""
-    subs, _, act = _bridge(module)
-    return subs[act.top_image(_slot(module, ideal))]
-
-
 def distinct_ideal_images(module) -> tuple[Submodule, ...]:
     subs, _, act = _bridge(module)
     return tuple(subs[x] for x in sorted({act.top_image(s) for s in act.poset.elements()}))
@@ -675,7 +668,7 @@ def _meets_distribute(lat: FiniteLattice, pairs) -> bool:
     # pair (k, n) and every element low, visited pair by pair, ending at the
     # first failure.  The meets are read from the meet rows of k, n and
     # k join n, the outer join from the join table.
-    meets, joins = _table(lat, False), _table(lat, True)
+    meets, joins = lat.meet_table, lat.join_table
     for k, n in pairs:
         meet_k, meet_n, meet_sum = meets[k], meets[n], meets[joins[k][n]]
         for low in range(lat.size):

@@ -451,6 +451,21 @@ def check_aligned_equality(r1: Representation, r2: Representation) -> Report:
 
 # -- structural theorem checkers ------------------------------------------------
 
+def _nonsmall_outside_images(module) -> tuple[str, ...]:
+    """Names of the non-small submodules that are not ideal multiples of the module.
+
+    The hypothesis they refute is module-wide, so the list is computed once
+    per module and kept on it.
+    """
+    got = module._cache.get("nonsmall_outside_images")
+    if got is None:
+        images = {img.index for img in distinct_ideal_images(module)}
+        got = module._cache["nonsmall_outside_images"] = tuple(
+            k.name for k in enumerate_submodules(module)
+            if k.index not in images and not is_small(k))
+    return got
+
+
 def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     """Non-small submodules of a ps-hollow submodule inherit its profile.
 
@@ -465,9 +480,7 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     unmet = []
     if sub.is_zero or not is_ps_hollow(sub):
         unmet.append(f"{sub.name}-not-ps-hollow")
-    images = {img.index for img in distinct_ideal_images(module)}
-    outside = [k.name for k in enumerate_submodules(module)
-               if k.index not in images and not is_small(k)]
+    outside = _nonsmall_outside_images(module)
     if outside:
         unmet.append("non-small-not-ideal-multiple:" + ",".join(outside))
     if unmet:

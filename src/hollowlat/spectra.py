@@ -159,16 +159,17 @@ def is_topological(lattice: FiniteLattice, designated: frozenset[int] | set[int]
 def _quotient_firsts(action: PosetAction, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The first spectrum of the quotient at x, and every class but x's.
 
-    The quotient at x is all first but the class of x exactly when the two
-    agree.  Parts 3 and 4 of the duality suite both ask this, so the answer
-    is kept on the action and each quotient is built once.
+    The class of x is the bottom of the quotient.  The quotient at x is all
+    first but the class of x exactly when the two agree.  Parts 3 and 4 of
+    the duality suite both ask this, so the answer is kept on the action and
+    each quotient is built once.
     """
     memo = action.cache.setdefault("quotient_firsts", {})
     got = memo.get(x)
     if got is None:
-        sub, qact, cmap = quotient(action, x)
+        sub, qact = quotient(action, x)
         got = memo[x] = (spectrum(qact, "first"),
-                         tuple(i for i in range(sub.size) if i != cmap[x]))
+                         tuple(i for i in range(sub.size) if i != sub.bottom))
     return got
 
 

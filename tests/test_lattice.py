@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import oracles
@@ -63,6 +62,24 @@ class TestBuildLattice:
         lat = build_lattice(3, [(0, 1), (1, 2)])
         assert lat.le(0, 2)
 
+    def test_grid_above_old_table_limit_keeps_both_tables(self):
+        # The 24 x 24 grid, element 24 i + j for (i, j), ordered coordinatewise:
+        # 576 elements, and its meet and join are the coordinatewise min and max.
+        side = 24
+        lat = build_lattice(side * side, [(side * i + j, side * i + j + 1)
+                                          for i in range(side) for j in range(side - 1)]
+                            + [(side * i + j, side * (i + 1) + j)
+                               for i in range(side - 1) for j in range(side)])
+        assert lat.size == 576 and lat.bottom == 0 and lat.top == 575
+        assert len(lat.meet_table) == len(lat.join_table) == lat.size
+        for a, b in itertools.product(lat.elements(), lat.elements()):
+            (ai, aj), (bi, bj) = divmod(a, side), divmod(b, side)
+            assert lat.meet_table[a][b] == side * min(ai, bi) + min(aj, bj)
+            assert lat.join_table[a][b] == side * max(ai, bi) + max(aj, bj)
+        dual = lat.dual()
+        assert dual.meet_table is lat.join_table and dual.join_table is lat.meet_table
+        assert dual.up is lat.down and dual.down is lat.up
+
     def test_identity_and_idempotence_laws(self):
         lat = diamond()
         for x in lat.elements():
@@ -112,6 +129,20 @@ class TestDual:
     def test_dual_involution_random(self, seed):
         lat = random_instance(seed).lattice
         assert lat.dual().dual().up == lat.up
+
+    @pytest.mark.parametrize("act", [pytest.param(act, id=label)
+                                     for label, act in oracles.reference_actions()])
+    def test_down_rows_are_the_transposed_up_rows(self, act):
+        # Every poset keeps both row sets, and its dual swaps them.
+        for order in (act.poset, act.lattice):
+            elements = order.elements()
+            assert len(order.down) == order.size
+            for i, j in itertools.product(elements, elements):
+                assert order.down[j] >> i & 1 == order.up[i] >> j & 1, (i, j)
+            dual = order.dual()
+            assert type(dual) is type(order)
+            assert dual.up == order.down and dual.down == order.up
+            assert dual.dual() == order
 
 
 class TestActions:
@@ -200,24 +231,24 @@ class TestIntervalAndQuotient:
         assert sub.size == 2 and sub.bottom == 0 and sub.top == 1
 
     def test_quotient_of_three_chain(self):
+        # The classes of 1 and 2 are positions 0 and 1 of [1, 2].
         act = trivial_action(chain(3))
-        sub, sub_act, cmap = quotient(act, 1)
+        sub, sub_act = quotient(act, 1)
         assert sub.size == 2
-        assert cmap == {1: 0, 2: 1}
+        assert sub.bottom == 0 and sub.top == 1
         assert sub.le(0, 1) and not sub.le(1, 0)
 
     def test_quotient_by_bottom_is_isomorphic(self):
+        # [0, top] is the whole lattice, each element its own position.
         act = trivial_action(diamond())
-        sub, _, cmap = quotient(act, 0)
+        sub, _ = quotient(act, 0)
         assert sub.size == 4
-        assert sorted(cmap) == [0, 1, 2, 3]
-        assert len(set(cmap.values())) == 4
-        assert sub.up == act.lattice.up
+        assert sub == act.lattice
 
     def test_quotient_by_top_is_point(self):
         act = trivial_action(diamond())
-        sub, _, cmap = quotient(act, 3)
-        assert sub.size == 1 and cmap == {3: 0}
+        sub, _ = quotient(act, 3)
+        assert sub.size == 1 and sub.bottom == sub.top == 0
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -227,9 +258,11 @@ class TestIntervalAndQuotient:
         act = random_instance(seed)
         lat = act.lattice
         for x in lat.elements():
-            sub, sub_act, cmap = quotient(act, x)
-            assert list(cmap) == list(_bits(lat.up[x]))
-            assert list(cmap.values()) == list(range(sub.size))
+            sub, sub_act = quotient(act, x)
+            # The class of y >= x is its position in [x, top].
+            cmap = {y: i for i, y in enumerate(_bits(lat.up[x]))}
+            assert sub.size == len(cmap)
+            assert sub.bottom == cmap[x] and sub.top == cmap[lat.top]
             assert sub_act.lattice is sub
             for y, i in cmap.items():
                 assert all(sub.le(i, j) == lat.le(y, z) for z, j in cmap.items())
@@ -258,9 +291,12 @@ class TestAgainstReferences:
         lat = act.lattice
         derived = [dual_action(act), star_action(act), trivial_action(lat, act.poset)]
         for x in lat.elements():
-            sub, sub_act, cmap = quotient(act, x)
-            # Same size, order, tables, action table and class map.
-            assert (sub, sub_act, cmap) == oracles.quotient_reference(act, x), x
+            sub, sub_act = quotient(act, x)
+            # Same size, order, tables and action table; the reference's
+            # classes are the positions in [x, top].
+            ref_sub, ref_act, class_map = oracles.quotient_reference(act, x)
+            assert (sub, sub_act) == (ref_sub, ref_act), x
+            assert class_map == {y: i for i, y in enumerate(_bits(lat.up[x]))}, x
             low = lower_interval(act, x)
             assert low == oracles.lower_interval_reference(act, x), x
             derived += [sub_act, low[1]]
@@ -270,13 +306,6 @@ class TestAgainstReferences:
 
 class TestDistributivityAgainstReferences:
     """The distributivity loops against the per-instance definitions in tests/oracles.py."""
-
-    @staticmethod
-    def without_tables(act):
-        # The same action on a lattice that keeps no meet or join table, as
-        # one above TABLE_LIMIT does, so its rows are computed on demand.
-        bare = dataclasses.replace(act.lattice, meet_table=None, join_table=None)
-        return dataclasses.replace(act, lattice=bare)
 
     @staticmethod
     def pair_sets(act):
@@ -290,11 +319,9 @@ class TestDistributivityAgainstReferences:
     def test_same_verdicts(self, act):
         want = oracles.join_distributive_reference(act)
         assert is_join_distributive(act) == want
-        assert is_join_distributive(self.without_tables(act)) == want
         for pairs in self.pair_sets(act):
             want = oracles.meets_distribute_reference(act.lattice, pairs)
             assert _meets_distribute(act.lattice, pairs) == want
-            assert _meets_distribute(self.without_tables(act).lattice, pairs) == want
 
     def test_reference_actions_give_both_verdicts(self):
         joins, meets = set(), set()

@@ -13,6 +13,7 @@ from hollowlat.modules import (
     find_minimal_second_representations,
     find_second_submodules,
     is_hollow_module,
+    is_small,
     span,
     submodule_lattice,
     submodules_within,
@@ -363,6 +364,27 @@ class TestTheoremCheckers:
         line = next(s for s in enumerate_submodules(k) if s.order == 2)
         rep = check_nonsmall_inheritance(k, line)
         assert rep.findings[0].verdict == UNMET
+
+    def test_nonsmall_hypothesis_decided_once_per_module(self, monkeypatch):
+        # Whether every non-small submodule is an ideal multiple is a question
+        # about the module, so a second call on the same module asks no
+        # smallness again, and every report equals a fresh module's.
+        m = FiniteModule(Ring(12), [12, 6])
+        calls = []
+        monkeypatch.setattr("hollowlat.pshollow.is_small",
+                            lambda k: calls.append(k.index) or is_small(k))
+        subs = [s for s, _ in find_ps_hollow_submodules(m)]
+        assert len(subs) > 1
+        first = check_nonsmall_inheritance(m, subs[0])
+        assert calls
+        calls.clear()
+        rest = [check_nonsmall_inheritance(m, s) for s in subs[1:]]
+        assert calls == []
+        assert first.findings[0].verdict == UNMET
+        for sub, rep in zip(subs, [first, *rest]):
+            fresh = FiniteModule(Ring(12), [12, 6])
+            again = check_nonsmall_inheritance(fresh, enumerate_submodules(fresh)[sub.index])
+            assert rep.render_text() == again.render_text()
 
     def test_semisimple_equivalences_z30(self):
         rep = check_semisimple_equivalences(z(30))
