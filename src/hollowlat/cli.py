@@ -28,6 +28,7 @@ Exit codes: 0 all pass, 1 any failing claim, 2 only hypothesis-unmet claims,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -494,6 +495,8 @@ def run(args) -> tuple[Report, int]:
     return report, report.exit_code()
 
 
+# One parser serves every call in a process: parse_args keeps no state on it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hollowlat",

@@ -18,6 +18,7 @@ meet and join tables, so its dual swaps those too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class LatticeError(Exception):
@@ -210,7 +211,8 @@ class PosetAction:
     lattice: FiniteLattice
     poset: FinitePoset
     table: tuple[tuple[int, ...], ...] = field(repr=False)
-    # What is computed once per action, such as the spectra's violation masks.
+    # What is computed once per action, such as the spectra's violation masks
+    # and the join-distributivity verdict.
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, s: int, x: int) -> int:
@@ -286,35 +288,39 @@ def star_action(action: PosetAction) -> PosetAction:
 
 
 def _interval(lat: FiniteLattice, low: int, high: int):
-    """The interval [low, high] as a lattice, with its members and their new ids.
+    """The interval [low, high] as a lattice, a table restriction, and the new ids.
 
-    Member i of the interval is its i-th element in ascending identifier order.
+    Member i of the interval is its i-th element in ascending identifier order;
+    the new id of an element off the interval is -1.
     An interval is closed under meets and joins, so its order rows and its
-    tables are restrictions of the lattice's and need no check.
+    tables are restrictions of the lattice's and need no check.  Restricting
+    a table row gathers its entries at the members in one ``itemgetter`` call
+    and renumbers them through a list that maps each element to its new id
+    (or, for a quotient, first joins it with the bottom of the interval).
     """
-    mask = lat.up[low] & lat.down[high]
-    elems = list(_bits(mask))
+    elems = list(_bits(lat.up[low] & lat.down[high]))
     index = [-1] * lat.size
     for i, y in enumerate(elems):
         index[y] = i
+    # itemgetter with a single key returns the entry itself, not a 1-tuple.
+    pick = itemgetter(*elems) if len(elems) > 1 else lambda seq: (seq[low],)
 
-    # A row restricted to the interval is its digits at the members, read
-    # from the binary string of the row, highest identifier first.
+    def restrict_table(rows, renumber=index) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(renumber.__getitem__, pick(row))) for row in rows)
+
+    # A bitmask row restricted to the interval is its digits at the members,
+    # read from the binary string of the row, highest identifier first.
     width = f"0{lat.size}b"
-    picks = [lat.size - 1 - y for y in reversed(elems)]
+    digits = itemgetter(*[lat.size - 1 - y for y in reversed(elems)])
 
-    def restrict(row: int) -> int:
-        digits = format(row, width)
-        return int("".join([digits[p] for p in picks]), 2)
+    def restrict(rows) -> tuple[int, ...]:
+        return tuple(int("".join(digits(format(row, width))), 2) for row in pick(rows))
 
-    def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple([index[rows[a][b]] for b in elems]) for a in elems)
-
-    sub = FiniteLattice(len(elems), tuple(restrict(lat.up[y]) for y in elems),
-                        tuple(restrict(lat.down[y]) for y in elems),
+    sub = FiniteLattice(len(elems), restrict(lat.up), restrict(lat.down),
                         index[low], index[high],
-                        restrict_table(lat.meet_table), restrict_table(lat.join_table))
-    return sub, elems, index
+                        restrict_table(pick(lat.meet_table)),
+                        restrict_table(pick(lat.join_table)))
+    return sub, restrict_table, index
 
 
 def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
@@ -325,9 +331,8 @@ def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAct
     stays inside the interval because s.y <= y, and restricting it keeps the
     axioms.
     """
-    sub, elems, index = _interval(action.lattice, action.lattice.bottom, x)
-    table = tuple(tuple([index[row[y]] for y in elems]) for row in action.table)
-    return sub, PosetAction(sub, action.poset, table)
+    sub, restrict_table, _ = _interval(action.lattice, action.lattice.bottom, x)
+    return sub, PosetAction(sub, action.poset, restrict_table(action.table))
 
 
 def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
@@ -344,10 +349,9 @@ def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
     because s.y is and joining with x is.
     """
     lat = action.lattice
-    sub, elems, index = _interval(lat, x, lat.top)
-    join_x = lat.join_table[x]
-    table = tuple(tuple([index[join_x[row[y]]] for y in elems]) for row in action.table)
-    return sub, PosetAction(sub, action.poset, table)
+    sub, restrict_table, index = _interval(lat, x, lat.top)
+    joined = list(map(index.__getitem__, lat.join_table[x]))
+    return sub, PosetAction(sub, action.poset, restrict_table(action.table, joined))
 
 
 def is_multiplication(action: PosetAction) -> bool:
@@ -358,6 +362,17 @@ def is_multiplication(action: PosetAction) -> bool:
 
 def is_join_distributive(action: PosetAction) -> bool:
     """Whether s.(y join z) = (s.y) join (s.z) holds for all s, y, z.
+
+    The verdict is kept on the action, so each action is scanned once.
+    """
+    got = action.cache.get("join_distributive")
+    if got is None:
+        got = action.cache["join_distributive"] = _scan_join_distributive(action)
+    return got
+
+
+def _scan_join_distributive(action: PosetAction) -> bool:
+    """The scan behind is_join_distributive.
 
     The instances are visited s first, then the pairs y <= z in
     combinations_with_replacement order, and the first failure ends the

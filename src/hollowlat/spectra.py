@@ -18,7 +18,9 @@ and five on L minus the bottom element:
 
 The ps_ prefix abbreviates "pseudo strongly".  A spectrum is decided whole:
 its quantifiers are exhausted once, for all x at a time as bitmasks, and
-is_kind reads the same masks.  tests/oracles.py keeps the per-element loops.
+is_kind reads the same masks.  The masks are folded row by row over the meet,
+join and action tables, and every quantifier instance is still visited.
+tests/oracles.py keeps the per-element loops.
 """
 
 from __future__ import annotations
@@ -75,43 +77,73 @@ def _violations(action: PosetAction, kind: str) -> int:
 
     Each quantifier instance (a, b) or (s, y) is visited once and marks every x
     it refutes: (a, b) refutes strongly hollow on down(a join b) minus down(a)
-    minus down(b).  Callers apply the domain.  Masks are cached on the action.
+    minus down(b).  The instances are folded one table row at a time: a pair
+    kind reads row a of the meet or join table, a kind of (s, y) row s of the
+    action table or the row of s.top, so every term that depends on the row
+    alone, such as the complement of down(a), is taken once per row.  Callers
+    apply the domain.  Masks are cached on the action.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     got = action.cache.get(kind)
-    if got is None:
-        lat, table = action.lattice, action.table
-        up, down, meet, join, bottom = lat.up, lat.down, lat.meet, lat.join, lat.bottom
-        tops = [row[lat.top] for row in table]
-        kernels = [sum(1 << y for y, image in enumerate(row) if image == bottom)
-                   for row in table] if kind == "first" else None
-
-        def unless(m, a, b):  # {m} unless m is a or b
-            return 0 if m == a or m == b else 1 << m
-
-        refutes = {
-            # instances (a, b) of two lattice elements
-            "irreducible": lambda a, b: unless(meet(a, b), a, b),
-            "strongly_irreducible": lambda a, b: up[meet(a, b)] & ~up[a] & ~up[b],
-            "hollow": lambda a, b: unless(join(a, b), a, b),
-            "strongly_hollow": lambda a, b: down[join(a, b)] & ~down[a] & ~down[b],
-            # instances (s, y) of a poset and a lattice element
-            "ps_irreducible": lambda s, y: up[meet(tops[s], y)] & ~up[tops[s]] & ~up[y],
-            "prime": lambda s, y: up[table[s][y]] & ~up[tops[s]] & ~up[y],
-            "ps_hollow": lambda s, y: down[join(tops[s], y)] & ~down[tops[s]] & ~down[y],
-            "first": lambda s, y: (up[y] & ~kernels[s]
-                                   if y != bottom and kernels[s] >> y & 1 else 0),
-            # instances s alone, checked at each x
-            "coprime": lambda s, x: (0 if up[tops[s]] >> x & 1 or join(tops[s], x) == lat.top
-                                     else 1 << x),
-            "second": lambda s, x: 0 if table[s][x] in (x, bottom) else 1 << x,
-        }[kind]
-        first = lat.size if kind in PAIR_KINDS else action.poset.size
-        got = 0
-        for i, j in itertools.product(range(first), range(lat.size)):
-            got |= refutes(i, j)
-        action.cache[kind] = got
+    if got is not None:
+        return got
+    lat, table = action.lattice, action.table
+    up, bottom, top = lat.up, lat.bottom, lat.top
+    tops = [row[top] for row in table]
+    got = 0
+    if kind in ("irreducible", "hollow"):
+        # (a, b) refutes m = a meet b (a join b) unless m is a or b.  Row a
+        # never refutes a, so it refutes its off-diagonal m minus a.
+        for a, row in enumerate(lat.meet_table if kind == "irreducible" else lat.join_table):
+            acc = 0
+            for b, m in enumerate(row):
+                if m != b:
+                    acc |= 1 << m
+            got |= acc & ~(1 << a)
+    elif kind == "coprime":
+        # s refutes x unless s.top <= x or (s.top) join x = top.
+        for t in tops:
+            acc = 0
+            for x, m in enumerate(lat.join_table[t]):
+                if m != top:
+                    acc |= 1 << x
+            got |= acc & ~up[t]
+    elif kind == "second":
+        # s refutes x unless s.x is x or bottom.
+        for row in table:
+            for x, image in enumerate(row):
+                if image != x and image != bottom:
+                    got |= 1 << x
+    elif kind == "first":
+        # (s, y) with s.y = bottom != y refutes up(y) minus the kernel of s.
+        for row in table:
+            kernel = acc = 0
+            for y, image in enumerate(row):
+                if image == bottom:
+                    kernel |= 1 << y
+                    if y != bottom:
+                        acc |= up[y]
+            got |= acc & ~kernel
+    else:
+        # (p, q) refutes order(row_p[q]) minus order(p) minus order(q), where
+        # row_p is row p of the meet or join table, or, for (s, y), the row
+        # of s (prime) or of p = s.top.
+        order = up if kind in UPPER_KINDS else lat.down
+        outside = [~mask for mask in order]
+        if kind in PAIR_KINDS:
+            rows = enumerate(lat.meet_table if kind in UPPER_KINDS else lat.join_table)
+        elif kind == "prime":
+            rows = zip(tops, table)
+        else:
+            bounds = lat.meet_table if kind == "ps_irreducible" else lat.join_table
+            rows = ((t, bounds[t]) for t in tops)
+        for p, row in rows:
+            acc = 0
+            for m, beyond in zip(row, outside):
+                acc |= order[m] & beyond
+            got |= acc & outside[p]
+    action.cache[kind] = got
     return got
 
 

@@ -7,6 +7,7 @@ from hollowlat.cli import (
     RING_MODULUS_LIMIT,
     ParseError,
     ValidationError,
+    build_parser,
     emit_dot,
     emit_lattice_spec,
     emit_module_spec,
@@ -323,6 +324,55 @@ class TestReports:
         assert main(["submodules", "--in", spec]) == 3
         monkeypatch.setenv("HOLLOWLAT_BOUND", "64")
         assert main(["submodules", "--in", spec]) == 0
+
+
+class TestParserReuse:
+    """One parser serves every main call in a process and keeps no state."""
+
+    @staticmethod
+    def outcome(argv, capsys, outputs):
+        for path in outputs:
+            if path.exists():
+                path.unlink()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return (code, out, err,
+                *(path.read_bytes() if path.exists() else None for path in outputs))
+
+    def test_later_calls_match_fresh_calls(self, tmp_path, capsys):
+        z12 = write(tmp_path, "z12.spec", Z12)
+        chain = write(tmp_path, "chain.spec", chain_spec(4))
+        broken = write(tmp_path, "broken.spec", "ring 12\nmodule 7\n")
+        report, dot = tmp_path / "out.report", tmp_path / "out.dot"
+        out = ["--report", str(report)]
+        calls = [
+            ["spectra", "--in", z12, "--kind", "second", *out],
+            ["spectra", "--in", chain, *out],
+            ["verify", "--in", z12, "--claim", "duality", *out],
+            ["verify", "--in", chain, *out],
+            ["represent", "--in", z12, "--max-terms", "1", *out],
+            ["represent", "--in", z12, *out],
+            ["hasse", "--in", z12, "--highlight", "second,first,ps_hollow",
+             "--dot", str(dot), *out],
+            ["hasse", "--in", chain, *out],
+            ["verify", "--in", broken, *out],
+            ["spectra", "--in", z12, "--kind", "bogus", *out],
+            ["verify", "--in", z12, "--claim", "semisimple_equivalences", *out],
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(argv, capsys, (report, dot)))
+        codes = [got[0] for got in fresh]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3, ("SystemExit", 2), 2]
+        assert "invalid choice: 'bogus'" in fresh[9][2]
+        for _ in range(2):
+            for argv, want in zip(calls, fresh):
+                assert self.outcome(argv, capsys, (report, dot)) == want, argv
+        assert build_parser() is build_parser()
 
 
 class TestSpecMutations:

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hollowlat import spectra
+from hollowlat import cli, lattice
 from hollowlat.lattice import (
     build_lattice,
     build_poset,
     chain,
     dual_action,
     is_multiplication,
+    lower_interval,
     make_action,
+    quotient,
     star_action,
     trivial_action,
 )
@@ -192,6 +195,24 @@ class TestDualityChecks:
         assert len(rep3.findings) == len(rep4.findings) == 11
         assert calls == collections.Counter(range(11))
 
+    def test_module_verify_scans_join_distributivity_once(self, monkeypatch):
+        # The bridge action is asked twice, for bridge.join_distributive and for
+        # duality part 4; Z_12 is join distributive, so part 4 runs in full.
+        scans = collections.Counter()
+        original = lattice._scan_join_distributive
+
+        def counting(action):
+            scans[id(action)] += 1
+            return original(action)
+
+        monkeypatch.setattr(lattice, "_scan_join_distributive", counting)
+        module = FiniteModule(Ring(12), [12])
+        report = cli.module_battery(module)
+        bridge = submodule_lattice(module)[1]
+        assert any(f.claim.startswith("duality.prime_iff_quotient_first.")
+                   for f in report.findings)
+        assert scans[id(bridge)] == 1
+
     def test_explicit_spectra_by_hand(self):
         # square with atoms 1 and 2, action s.x = 1 meet x.  By hand: 1 is
         # coprime via s.top <= 1, and 2 via (s.top) join 2 = top, but for 0
@@ -209,12 +230,17 @@ class TestAgainstReference:
     @pytest.mark.parametrize("act", [pytest.param(act, id=label)
                                      for label, act in oracles.reference_actions()])
     def test_spectra_and_is_kind_match(self, act):
-        for derived in (act, dual_action(act), star_action(act)):
-            lat = derived.lattice
+        # Besides the dual and star actions, every lower interval and every
+        # quotient, the one-element ones (below bottom, above top) included.
+        derived = [act, dual_action(act), star_action(act)]
+        for x in act.lattice.elements():
+            derived += [lower_interval(act, x)[1], quotient(act, x)[1]]
+        for other in derived:
+            lat = other.lattice
             for kind in KINDS:
-                want = oracles.spectrum_reference(derived, kind)
-                assert spectrum(derived, kind) == want, kind
+                want = oracles.spectrum_reference(other, kind)
+                assert spectrum(other, kind) == want, kind
                 excluded = lat.top if kind in UPPER_KINDS else lat.bottom
                 got = tuple(x for x in lat.elements()
-                            if x != excluded and is_kind(derived, x, kind))
+                            if x != excluded and is_kind(other, x, kind))
                 assert got == want, kind
