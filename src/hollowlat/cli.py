@@ -325,7 +325,7 @@ def _parse_summand_token(module: FiniteModule, token: str):
     if not token:
         raise ValidationError("empty summand token")
     if token.startswith("(") and token.endswith(")") and len(module.factors) == 1:
-        gen = _summand_int(token, token[1:-1]) % module.ring.n
+        gen = _summand_int(token, token[1:-1]) % module.factors[0]
         return span(module, (gen,) if gen else ())
     gens = []
     for part in token.split("+"):

@@ -167,16 +167,20 @@ def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def build_lattice(size: int, leq_pairs) -> FiniteLattice:
-    """Validate an order relation and derive the bounded lattice on it.
-
-    The pairs are closed reflexively and transitively first.  Raises
-    NotAPartialOrder on cycles, Unbounded when a global least or greatest
-    element is missing, and MeetOrJoinMissing when some pair has no unique
-    greatest lower or least upper bound.
-    """
+    """lattice_from_up on the closure of the pairs; NotAPartialOrder on cycles."""
     if size < 1:
         raise Unbounded("a lattice needs at least one element")
-    up = tuple(_close_and_check(size, leq_pairs))
+    return lattice_from_up(tuple(_close_and_check(size, leq_pairs)))
+
+
+def lattice_from_up(up: tuple[int, ...]) -> FiniteLattice:
+    """The bounded lattice on a partial order given by its up rows.
+
+    Raises Unbounded when a global least or greatest element is missing, and
+    MeetOrJoinMissing when some pair has no unique greatest lower or least
+    upper bound.
+    """
+    size = len(up)
     down = _transpose(up)
     meet = _bound_table(down)
     join = _bound_table(up)

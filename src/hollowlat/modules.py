@@ -11,15 +11,16 @@ The submodules are enumerated from the group structure: a module whose order
 has several prime divisors splits into its p-primary parts, whose submodule
 lattices multiply, and each part is enumerated from its cyclic subgroups,
 closing under H + <g> one coset at a time through the translation map of g
-(enumerate_submodules).  Their member sets serve to build the lattice with
-the ideal action (submodule_lattice), once per module and on first use: the
-image of every submodule under p is read off the scaling map of p for each
-prime p dividing n, and every other ideal's row is a composite of those, as
-(d)N = p((d/p)N).  Everything downstream is a query on that lattice:
-inclusion reads its order rows, sums and intersections its join and meet
-tables, ideal products its action table, and the class predicates are
-lattice and spectrum queries.  The brute-force definitions on member sets,
-which the tests compare the package against, live in tests/oracles.py.
+(enumerate_submodules), which keeps containing[x], the mask of the
+submodules that hold element x.  Canonical order sorts by order first, so it
+is a linear extension of inclusion, and the least submodule holding some
+elements is the lowest set bit of the AND of their masks.  Generators, spans
+and the lattice with the ideal action (submodule_lattice) are read off these
+masks.  Everything downstream is a query on that lattice: inclusion reads
+its order rows, sums and intersections its join and meet tables, ideal
+products its action table, and the class predicates are lattice and
+spectrum queries.  The brute-force definitions on member sets, which the
+tests compare the package against, live in tests/oracles.py.
 
 The same machinery runs on quotient structures (CosetModule), which is what
 the lifting predicate needs; their maps come from add and smul element by
@@ -37,9 +38,9 @@ from .lattice import (
     FiniteLattice,
     PosetAction,
     _bits,
-    build_lattice,
     build_poset,
     is_multiplication,
+    lattice_from_up,
     make_action,
 )
 from .spectra import is_kind, spectrum
@@ -338,8 +339,8 @@ class _Translations(dict):
         return shift
 
 
-def _closure(shifts: _Translations, seed, gens) -> frozenset[int]:
-    """The subgroup seed + <gens>, for a subgroup seed.
+def _closure(shifts: _Translations, seed: frozenset[int], g: int) -> frozenset[int]:
+    """The subgroup seed + <g>, for a subgroup seed.
 
     H + <g> is the union of the cosets H + kg for k = 0, 1, ... up to the
     first k with kg in H, where the cosets start to repeat; walking g's
@@ -347,41 +348,40 @@ def _closure(shifts: _Translations, seed, gens) -> frozenset[int]:
     the map over the last.
     """
     members = set(seed)
-    for g in gens:
-        shift = shifts[g]
-        walk = []  # g, 2g, ..., up to the first multiple in H
-        x = g
-        while x not in members:
-            walk.append(x)
-            x = shift[x]
-        if len(members) == 1:  # H = 0: each coset is one point of the walk
-            members.update(walk)
-            continue
-        coset = list(members)
-        for _ in walk:
-            coset = [shift[y] for y in coset]
-            members.update(coset)
+    shift = shifts[g]
+    walk = []  # g, 2g, ..., up to the first multiple in H
+    x = g
+    while x not in members:
+        walk.append(x)
+        x = shift[x]
+    if len(members) == 1:  # H = 0: each coset is one point of the walk
+        return frozenset(members.union(walk))
+    coset = list(members)
+    for _ in walk:
+        coset = [shift[y] for y in coset]
+        members.update(coset)
     return frozenset(members)
 
 
-def _canonical_generators(shifts: _Translations, members: frozenset[int]) -> tuple[int, ...]:
-    gens: list[int] = []
-    current = frozenset({shifts.module.zero})
-    for m in sorted(members):
-        if m not in current:
-            gens.append(m)
-            current = _closure(shifts, current, (m,))
-    return tuple(gens)
+def _holding(containing: list[int], elements) -> int:
+    # The mask of the submodules that hold all the elements; all hold zero.
+    held = containing[0]
+    for x in elements:
+        held &= containing[x]
+    return held
 
 
-def _as_submodule(module, members: frozenset[int]) -> Submodule:
-    """The enumerated submodule with exactly these members."""
-    return enumerate_submodules(module)[module._cache["sub_index"][members]]
+def _least(containing: list[int], elements) -> int:
+    # The least submodule holding the elements lies in all the others, and
+    # canonical order extends inclusion, so it is the lowest bit of the mask.
+    held = _holding(containing, elements)
+    return (held & -held).bit_length() - 1
 
 
 def span(module, gens) -> Submodule:
     """Least submodule containing the given elements (additive closure)."""
-    return _as_submodule(module, _closure(_Translations(module), {module.zero}, tuple(gens)))
+    # enumerate_submodules fills the masks before the subscript reads them.
+    return enumerate_submodules(module)[_least(module._cache["containing"], gens)]
 
 
 def zero_submodule(module) -> Submodule:
@@ -403,17 +403,27 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     order, or of a quotient) are the sums of its cyclic submodules, found by
     walking each cyclic submodule once and closing under H + <g>.  The
     translation maps these steps read are built during the call and dropped
-    when it returns.
+    when it returns; the masks containing[x] of the submodules holding each
+    element x are kept on the module, and the greedy generators read them.
     """
     cached = module._cache.get("submodules")
     if cached is not None:
         return cached
-    shifts = _Translations(module)
-    ordered = sorted(_member_sets(shifts), key=lambda m: (len(m), sorted(m)))
-    subs = tuple(Submodule(module, m, _canonical_generators(shifts, m), i)
-                 for i, m in enumerate(ordered))
-    module._cache["submodules"] = subs
-    module._cache["sub_index"] = {m: i for i, m in enumerate(ordered)}
+    ordered = sorted(_member_sets(_Translations(module)), key=lambda m: (len(m), sorted(m)))
+    containing = [0] * module.size
+    for i, members in enumerate(ordered):
+        for x in members:
+            containing[x] |= 1 << i
+    subs = []
+    for i, members in enumerate(ordered):
+        gens, least = [], 0
+        for m in sorted(members):
+            if m not in ordered[least]:
+                gens.append(m)
+                least = _least(containing, gens)
+        subs.append(Submodule(module, members, tuple(gens), i))
+    module._cache["submodules"] = subs = tuple(subs)
+    module._cache["containing"] = containing
     return subs
 
 
@@ -482,7 +492,7 @@ def _subgroups(shifts: _Translations) -> list[frozenset[int]]:
         h = work.pop()
         for g in gens:
             if g not in h:
-                grown = _closure(shifts, h, (g,))
+                grown = _closure(shifts, h, g)
                 if grown not in found:
                     found.add(grown)
                     work.append(grown)
@@ -615,7 +625,7 @@ def quotient_module(module, kernel: Submodule) -> CosetModule:
 def image_in_quotient(quot: CosetModule, sub: Submodule) -> Submodule:
     if sub.module is not quot.base:
         raise ValueError("submodule does not live in the quotient's base module")
-    return _as_submodule(quot, frozenset(quot.project(x) for x in sub.members))
+    return span(quot, [quot.project(g) for g in sub.generators])
 
 
 # -- smallness ----------------------------------------------------------------
@@ -782,29 +792,30 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     ideal it generates.  Built once per module; every submodule operation
     reads it.
 
-    The action is computed from prime rows.  For each prime p dividing n the
-    row of p maps every submodule N to pN, the image of its members under the
-    scaling map of p.  Every ideal (d) of Z/nZ is a product of prime ideals,
-    and (d)N = p((d/p)N) for a prime p dividing d, so the row of d is the row
-    of d/p followed by the row of p; divisors ascend, so the row of d/p is
-    ready first.  make_action still checks the three axioms on the result.
+    Both are read off the containment masks.  L holds N exactly when it
+    holds N's generators, so N's up row is the AND of their masks and needs
+    no closure.  For each prime p dividing n the row of p maps N to pN, the
+    least submodule holding p times each generator of N.  Every ideal (d) of
+    Z/nZ is a product of prime ideals, and (d)N = p((d/p)N) for a prime p
+    dividing d, so the row of d is the row of d/p followed by the row of p;
+    divisors ascend, so the row of d/p is ready first.  make_action still
+    checks the three axioms on the result.
     """
     cached = module._cache.get("bridge")
     if cached is not None:
         return cached[1:]
     subs = enumerate_submodules(module)
-    pairs = [(a.index, b.index) for a in subs for b in subs if a.members <= b.members]
-    lat = build_lattice(len(subs), pairs)
+    containing = module._cache["containing"]
+    lat = lattice_from_up(tuple(_holding(containing, s.generators) for s in subs))
     n, divs, primes = module.ring.n, module.ring.divisors, module.ring.primes
     # (dp) lies in (d); these covers generate the divisibility order.
     slot = {d: j for j, d in enumerate(divs)}
     poset = build_poset(len(divs), [(slot[d * p], j) for j, d in enumerate(divs)
                                     for p in primes if n % (d * p) == 0])
-    index = module._cache["sub_index"]
     rows = {1: list(range(len(subs)))}
     for p in primes:
         image = module.scaling_map(p)
-        rows[p] = [index[frozenset([image[x] for x in s.members])] for s in subs]
+        rows[p] = [_least(containing, map(image.__getitem__, s.generators)) for s in subs]
     table = []
     for d in divs:
         row = rows.get(d)

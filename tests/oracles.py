@@ -17,8 +17,11 @@ replaced: every combination of candidates is tried, by size, in
 ``itertools.combinations`` order, and kept when it sums to the module and
 passes the minimality test written here from the definitions.
 
-The lattice references are the per-element quantifier loops that decided
-each element kind before the package computed whole spectra from violation
+The submodule lattice reference is the construction the bridge used before
+it read the order rows off containment masks: every pair of submodules whose
+member sets are nested, closed and checked by build_lattice.  The other
+lattice references are the per-element quantifier loops that decided each
+element kind before the package computed whole spectra from violation
 bitmasks, the distributivity loops that called meet and join at each
 instance before the package read table rows, and the class-based quotient
 and the rebuilt lower interval that the package replaced by restrictions of
@@ -29,7 +32,13 @@ import itertools
 import math
 
 from hollowlat.lattice import _bits, build_lattice, make_action
-from hollowlat.modules import FiniteModule, Ring, Submodule, submodule_lattice
+from hollowlat.modules import (
+    FiniteModule,
+    Ring,
+    Submodule,
+    enumerate_submodules,
+    submodule_lattice,
+)
 from hollowlat.spectra import UPPER_KINDS, random_instance
 
 
@@ -225,6 +234,13 @@ def hollow_ideal_reference(n, d):
 
 
 # -- lattice references ----------------------------------------------------------
+
+def submodule_lattice_reference(module):
+    """The lattice of the enumerated submodules from the inclusions of their member sets."""
+    subs = enumerate_submodules(module)
+    return build_lattice(len(subs), [(a.index, b.index)
+                                     for a in subs for b in subs if a.members <= b.members])
+
 
 # Submodule lattices the lattice references are compared on, as (ring, factors):
 # Z_12, Z_360, Z_2^3, Z_2^4, Z_6 + Z_6 and Z_8 + Z_4.

@@ -285,10 +285,10 @@ class TestReports:
     def test_submodules_command_builds_no_lattice(self, tmp_path, capsys, monkeypatch):
         import hollowlat.modules
 
-        def refuse(size, pairs):
+        def refuse(up):
             raise AssertionError("the submodules command built the submodule lattice")
 
-        monkeypatch.setattr(hollowlat.modules, "build_lattice", refuse)
+        monkeypatch.setattr(hollowlat.modules, "lattice_from_up", refuse)
         spec = write(tmp_path, "m.spec", Z12)
         assert main(["submodules", "--in", spec]) == 0
 
@@ -303,6 +303,12 @@ class TestReports:
         assert main(["minimize", "--in", spec, "--summands", "(3),(4),(6)"]) == 0
         out = capsys.readouterr().out
         assert "minimize.result  [(4)+(3)]" in out
+
+    def test_minimize_reads_cyclic_summands_modulo_the_factor(self, tmp_path, capsys):
+        # Over Z/12, (8) in Z_6 is the submodule generated by 8 mod 6 = 2.
+        spec = write(tmp_path, "m.spec", "ring 12\nmodule 6\n")
+        assert main(["minimize", "--in", spec, "--summands", "(8),(3)"]) == 0
+        assert "minimize.input  [(2)+(3)]" in capsys.readouterr().out
 
     def test_minimize_rejects_bad_summands(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)

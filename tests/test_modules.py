@@ -1,3 +1,5 @@
+import itertools
+
 import oracles
 import pytest
 
@@ -79,12 +81,25 @@ BRIDGE_MODULES = ENUMERATION_MODULES + [
     (1024, (1024,)), (360, (360,)), (1260, (1260,)), (12, (3,)), (30, (6, 10)),
 ]
 
+# Modules whose quotients by every submodule are checked too.
+QUOTIENT_MODULES = [(12, (12,)), (4, (4, 2))]
+
+
+def module_ids(specs):
+    return [f"ring{r}-" + "x".join(map(str, f)) for r, f in specs]
+
 
 def assert_matches_closure(module):
     got, want = enumerate_submodules(module), oracles.closure_submodules(module)
     # Submodule equality compares the module, members, generators and index.
     assert got == want, module.describe()
     assert [s.name for s in got] == [s.name for s in want], module.describe()
+
+
+def assert_lattice_matches_reference(module):
+    got, want = submodule_lattice(module)[0], oracles.submodule_lattice_reference(module)
+    for name in ("up", "down", "meet_table", "join_table", "bottom", "top"):
+        assert getattr(got, name) == getattr(want, name), (module.describe(), name)
 
 
 class TestRingAndIdeals:
@@ -147,11 +162,22 @@ class TestSpanAndEnumeration:
             assert_matches_closure(z(n))
 
     @pytest.mark.parametrize("ring,factors", ENUMERATION_MODULES,
-                             ids=[f"ring{r}-" + "x".join(map(str, f)) for r, f in ENUMERATION_MODULES])
+                             ids=module_ids(ENUMERATION_MODULES))
     def test_enumeration_matches_closure_oracle(self, ring, factors):
         assert_matches_closure(FiniteModule(Ring(ring), factors))
 
-    @pytest.mark.parametrize("ring,factors", [(12, (12,)), (4, (4, 2))], ids=["ring12-12", "ring4-4x2"])
+    @pytest.mark.parametrize("ring,factors", ENUMERATION_MODULES,
+                             ids=module_ids(ENUMERATION_MODULES))
+    def test_span_of_every_pair_matches_closure_oracle(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        subs = enumerate_submodules(module)
+        assert span(module, ()) is subs[0]
+        for g, h in itertools.combinations_with_replacement(range(module.size), 2):
+            got = span(module, (g, h))
+            assert got is subs[got.index]
+            assert got.members == oracles._closure(module, {module.zero}, (g, h)), (g, h)
+
+    @pytest.mark.parametrize("ring,factors", QUOTIENT_MODULES, ids=module_ids(QUOTIENT_MODULES))
     def test_quotient_enumeration_matches_closure_oracle(self, ring, factors):
         module = FiniteModule(Ring(ring), factors)
         for kernel in enumerate_submodules(module):
@@ -217,6 +243,18 @@ class TestQuotients:
         img = image_in_quotient(q, span(m, (2,)))
         assert img.order == 2
         assert len(enumerate_submodules(q)) == 3
+
+    @pytest.mark.parametrize("ring,factors", QUOTIENT_MODULES, ids=module_ids(QUOTIENT_MODULES))
+    def test_image_in_quotient_matches_projected_members(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        subs = enumerate_submodules(module)
+        for kernel in subs:
+            quot = quotient_module(module, kernel)
+            for sub in subs:
+                image = image_in_quotient(quot, sub)
+                assert image is enumerate_submodules(quot)[image.index]
+                assert image.members == frozenset(quot.project(x) for x in sub.members), \
+                    (kernel.name, sub.name)
 
     def test_projection_is_additive(self):
         m = z(12)
@@ -358,6 +396,17 @@ class TestBridge:
                     image = oracle.ideal_product(d, sub.members)
                     assert subs[act.apply(s, x)].members == image
                     assert ideal_apply(Ideal(module.ring, d), sub).members == image
+
+    @pytest.mark.parametrize("ring,factors", BRIDGE_MODULES + [(2, (2,) * 5)],
+                             ids=module_ids(BRIDGE_MODULES + [(2, (2,) * 5)]))
+    def test_lattice_matches_member_subset_reference(self, ring, factors):
+        assert_lattice_matches_reference(FiniteModule(Ring(ring), factors))
+
+    @pytest.mark.parametrize("ring,factors", QUOTIENT_MODULES, ids=module_ids(QUOTIENT_MODULES))
+    def test_quotient_lattices_match_member_subset_reference(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        for kernel in enumerate_submodules(module):
+            assert_lattice_matches_reference(quotient_module(module, kernel))
 
     def test_whole_module_maps_match_smul_and_add(self):
         for ring, factors in BRIDGE_MODULES:
