@@ -78,7 +78,7 @@ class ParseError(Exception):
 
 
 class ValidationError(Exception):
-    """Structurally parsed input that fails a mathematical validation."""
+    """Parsed input that fails a mathematical validation, or an unwritable output."""
 
 
 def _tokenize(text: str):
@@ -96,7 +96,7 @@ def parse_spec(path: str, bound: int = DEFAULT_ORDER_BOUND):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(None, f"cannot read {path}: {exc}") from exc
     rows = list(_tokenize(text))
     if not rows:
@@ -458,14 +458,21 @@ def cmd_hasse(parsed, args) -> Report:
                 highlights[i] = highlights.get(i, ()) + (kind,)
     dot = emit_dot(lat, labels, highlights)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+        _write(args.dot, dot)
     else:
         sys.stdout.write(dot)
     report = Report(subject=subject)
     report.add("hasse.nodes", "pass", str(lat.size))
     report.add("hasse.edges", "pass", str(len(lat.covers())))
     return report
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def run(args) -> tuple[Report, int]:
@@ -531,13 +538,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = run(args)
+        if args.report:
+            _write(args.report, report.render_machine())
     except (ParseError, ValidationError, ModuleError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(report.render_text())
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.render_machine())
     return report.exit_code()
 
 

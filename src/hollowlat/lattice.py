@@ -291,26 +291,30 @@ def star_action(action: PosetAction) -> PosetAction:
     return PosetAction(action.lattice, action.poset, _top_rows(action, False))
 
 
-def _interval(lat: FiniteLattice, low: int, high: int):
-    """The interval [low, high] as a lattice, a table restriction, and the new ids.
+def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, PosetAction]:
+    """The interval [low, high] as a lattice, with the action s.y -> (s.y) join low.
 
-    Member i of the interval is its i-th element in ascending identifier order;
-    the new id of an element off the interval is -1.
-    An interval is closed under meets and joins, so its order rows and its
-    tables are restrictions of the lattice's and need no check.  Restricting
-    a table row gathers its entries at the members in one ``itemgetter`` call
-    and renumbers them through a list that maps each element to its new id
-    (or, for a quotient, first joins it with the bottom of the interval).
+    Member i of the interval is its i-th element in ascending identifier
+    order.  An interval is closed under meets and joins, so its order rows
+    and its tables are restrictions of the lattice's and need no check.  The
+    induced action satisfies the axioms: (s.y) join low <= y join low = y,
+    and it is monotone in s and in y because s.y is and joining with low is.
+    For low = bottom the join changes nothing.  Restricting a table row
+    gathers its entries at the members in one ``itemgetter`` call and maps
+    each through y -> y join low, renumbered, which is the renumbering on
+    the interval itself.
     """
+    lat = action.lattice
     elems = list(_bits(lat.up[low] & lat.down[high]))
     index = [-1] * lat.size
     for i, y in enumerate(elems):
         index[y] = i
+    renumber = list(map(index.__getitem__, lat.join_table[low])).__getitem__
     # itemgetter with a single key returns the entry itself, not a 1-tuple.
     pick = itemgetter(*elems) if len(elems) > 1 else lambda seq: (seq[low],)
 
-    def restrict_table(rows, renumber=index) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map(renumber.__getitem__, pick(row))) for row in rows)
+    def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(map(renumber, pick(row))) for row in rows)
 
     # A bitmask row restricted to the interval is its digits at the members,
     # read from the binary string of the row, highest identifier first.
@@ -324,19 +328,17 @@ def _interval(lat: FiniteLattice, low: int, high: int):
                         index[low], index[high],
                         restrict_table(pick(lat.meet_table)),
                         restrict_table(pick(lat.join_table)))
-    return sub, restrict_table, index
+    return sub, PosetAction(sub, action.poset, restrict_table(action.table))
 
 
 def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
-    """Sublattice on {y : y <= x} with the inherited action.
+    """Sublattice on {y : y <= x} with the inherited action: the interval [bottom, x].
 
     Element i of the result is the i-th member of {y : y <= x} in ascending
     identifier order; the top of the interval is the image of x.  The action
-    stays inside the interval because s.y <= y, and restricting it keeps the
-    axioms.
+    stays inside the interval because s.y <= y.
     """
-    sub, restrict_table, _ = _interval(action.lattice, action.lattice.bottom, x)
-    return sub, PosetAction(sub, action.poset, restrict_table(action.table))
+    return _interval(action, action.lattice.bottom, x)
 
 
 def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
@@ -348,14 +350,9 @@ def quotient(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:
     equal: every class is a singleton, the class order is the lattice order,
     and the quotient is the interval itself, with no class map: the class of
     y >= x is its position in [x, top] in ascending identifier order, so the
-    class of x is the bottom of the result.  The induced action satisfies the
-    axioms: (s.y) join x <= y join x = y, and it is monotone in s and in y
-    because s.y is and joining with x is.
+    class of x is the bottom of the result.
     """
-    lat = action.lattice
-    sub, restrict_table, index = _interval(lat, x, lat.top)
-    joined = list(map(index.__getitem__, lat.join_table[x]))
-    return sub, PosetAction(sub, action.poset, restrict_table(action.table, joined))
+    return _interval(action, x, action.lattice.top)
 
 
 def is_multiplication(action: PosetAction) -> bool:

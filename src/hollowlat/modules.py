@@ -19,12 +19,12 @@ and the lattice with the ideal action (submodule_lattice) are read off these
 masks.  Everything downstream is a query on that lattice: inclusion reads
 its order rows, sums and intersections its join and meet tables, ideal
 products its action table, and the class predicates are lattice and
-spectrum queries.  The brute-force definitions on member sets, which the
-tests compare the package against, live in tests/oracles.py.
-
-The same machinery runs on quotient structures (CosetModule), which is what
-the lifting predicate needs; their maps come from add and smul element by
-element.
+spectrum queries.  A quotient M/K is the interval [K, M] of that lattice,
+so the lifting predicate reads smallness in upper intervals and builds no
+quotient.  The explicit coset structure (CosetModule, quotient_module) stays
+public for the tests to compare against; its maps come from add and smul
+element by element.  The brute-force definitions on member sets live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ class Ring:
     def primes(self) -> tuple[int, ...]:
         """The primes dividing n, ascending; their ideals generate all the others."""
         return tuple(p for p, _ in _factor(self.n))
-
-    def ideal(self, generator: int) -> "Ideal":
-        return Ideal(self, math.gcd(generator, self.n) or self.n)
 
     def ideals(self) -> tuple["Ideal", ...]:
         return tuple(Ideal(self, d) for d in self.divisors)
@@ -314,7 +311,7 @@ class Submodule:
     def name(self) -> str:
         mod = self.module
         if isinstance(mod, FiniteModule) and len(mod.factors) == 1:
-            return "(0)" if self.is_zero else f"({min(m for m in self.members if m)})"
+            return "(0)" if self.is_zero else f"({self.generators[0]})"
         if self.is_zero:
             return "0"
         return "<" + ",".join(mod.element_name(g) for g in self.generators) + ">"
@@ -630,16 +627,22 @@ def image_in_quotient(quot: CosetModule, sub: Submodule) -> Submodule:
 
 # -- smallness ----------------------------------------------------------------
 
+def _small_in(lat: FiniteLattice, x: int, low: int, high: int) -> bool:
+    # x is small in the interval [low, high]: x join y = high forces y = high
+    # for every y in it.
+    join = lat.join_table[x]
+    return not any(join[y] == high for y in _bits(lat.up[low] & lat.down[high]) if y != high)
+
+
 def is_small(sub: Submodule) -> bool:
     """N is small when N + L = M forces L = M."""
     return small_within(sub, whole_module(sub.module))
 
 
 def small_within(sub: Submodule, ambient: Submodule) -> bool:
-    """Smallness of sub inside the submodule ambient (both inside one module)."""
+    """Smallness of sub inside the submodule ambient: in the interval [0, ambient]."""
     _, lat, _ = _bridge(sub.module)
-    top = ambient.index
-    return not any(lat.join(sub.index, y) == top for y in _bits(lat.down[top]) if y != top)
+    return _small_in(lat, sub.index, lat.bottom, ambient.index)
 
 
 # -- module class predicates --------------------------------------------------
@@ -715,19 +718,16 @@ def is_direct_summand(sub: Submodule) -> bool:
 
 
 def is_lifting_module(module) -> bool:
-    """Every submodule contains a direct summand with small quotient remainder."""
-    for sub in enumerate_submodules(module):
-        ok = False
-        for part in submodules_within(sub):
-            if not is_direct_summand(part):
-                continue
-            quot = quotient_module(module, part)
-            if is_small(image_in_quotient(quot, sub)):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    """Every submodule N contains a direct summand K with N/K small in M/K.
+
+    The submodules of M/K are the interval [K, M] (the correspondence
+    theorem), so N/K is small in M/K exactly when N is small in [K, M]:
+    every L >= K with N + L = M is M.
+    """
+    subs, lat, _ = _bridge(module)
+    summands = sum(1 << k.index for k in subs if is_direct_summand(k))
+    return all(any(_small_in(lat, n, k, lat.top) for k in _bits(lat.down[n] & summands))
+               for n in lat.elements())
 
 
 def _maximal(module, candidates) -> tuple[Submodule, ...]:

@@ -197,9 +197,11 @@ def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> 
         raise HypothesisUnmet(f"{n.name} and {k.name} are comparable")
     if not (is_ps_hollow(n) and is_ps_hollow(k)):
         raise HypothesisUnmet("both submodules must be ps-hollow")
-    associated = set()
-    for _, prof in find_ps_hollow_submodules(n.module):
-        associated |= prof.family
+    # The associated families are module-wide, so they are kept on the module.
+    associated = n.module._cache.get("associated_families")
+    if associated is None:
+        associated = n.module._cache["associated_families"] = frozenset().union(
+            *(prof.family for _, prof in find_ps_hollow_submodules(n.module)))
     if not family <= associated:
         raise HypothesisUnmet("family is not drawn from the associated hollow ideals")
 

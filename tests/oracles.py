@@ -17,6 +17,12 @@ replaced: every combination of candidates is tried, by size, in
 ``itertools.combinations`` order, and kept when it sums to the module and
 passes the minimality test written here from the definitions.
 
+The lifting reference is the loop the package ran before it read smallness
+off the interval [K, M]: for each direct summand K inside N it builds the
+coset module M/K and projects N into it.  Whether the image is small is then
+decided here, from the member sets of the quotient's submodules: no proper
+one adds up with it to the whole quotient.
+
 The submodule lattice reference is the construction the bridge used before
 it read the order rows off containment masks: every pair of submodules whose
 member sets are nested, closed and checked by build_lattice.  The other
@@ -37,7 +43,11 @@ from hollowlat.modules import (
     Ring,
     Submodule,
     enumerate_submodules,
+    image_in_quotient,
+    is_direct_summand,
+    quotient_module,
     submodule_lattice,
+    submodules_within,
 )
 from hollowlat.spectra import UPPER_KINDS, random_instance
 
@@ -221,6 +231,31 @@ def minimal_second_families(module):
     oracle = ModuleOracle(module)
     seconds = [s for s in oracle.subs if not s.is_zero and oracle.second(s.members)]
     return oracle.search(seconds, oracle.irredundant, len(seconds))
+
+
+def lifting_reference(module):
+    """Every submodule N contains a direct summand K with (N + K)/K small in M/K."""
+    def small_image(sub, part):
+        quot = quotient_module(module, part)
+        image = image_in_quotient(quot, sub).members
+        # A sum of two member sets has at most the product of their sizes.
+        return not any(len(image) * other.order >= quot.size > other.order
+                       and len({quot.add(x, y) for x in image for y in other.members})
+                       == quot.size
+                       for other in enumerate_submodules(quot))
+
+    return all(any(small_image(sub, part)
+                   for part in submodules_within(sub) if is_direct_summand(part))
+               for sub in enumerate_submodules(module))
+
+
+def s_lifting_reference(module):
+    """Lifting, with every maximal hollow submodule second, on member sets."""
+    if not lifting_reference(module):
+        return False
+    oracle = ModuleOracle(module)
+    hollows = [s.members for s in oracle.subs if not s.is_zero and oracle.hollow(s.members)]
+    return all(oracle.second(h) for h in hollows if not any(h < g for g in hollows))
 
 
 def hollow_ideal_reference(n, d):

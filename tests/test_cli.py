@@ -224,6 +224,23 @@ class TestMalformedInput:
         err = self.assert_rejected(["verify", "--in", spec], capsys)
         assert err.startswith("error: line 2: ") and str(LATTICE_SIZE_LIMIT) in err
 
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "m.spec"
+        spec.write_bytes(b"ring 12\nmodule \xff\n")
+        err = self.assert_rejected(["verify", "--in", str(spec)], capsys)
+        assert err.count("\n") == 1 and str(spec) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--report"], ["hasse", "--dot"]], ids=["report", "dot"])
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        spec = write(tmp_path, "m.spec", Z12)
+        out = str(tmp_path / "missing" / "out")
+        assert main([argv[0], "--in", spec, argv[1], out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     def test_ring_above_modulus_limit(self, tmp_path, capsys):
         # Module 2 divides the modulus: it is rejected only for its size.
         spec = write(tmp_path, "m.spec", f"# too large\nring {RING_MODULUS_LIMIT + 2}\nmodule 2\n")

@@ -81,6 +81,21 @@ BRIDGE_MODULES = ENUMERATION_MODULES + [
     (1024, (1024,)), (360, (360,)), (1260, (1260,)), (12, (3,)), (30, (6, 10)),
 ]
 
+# Modules the lifting predicates are compared with the coset-module reference
+# on: cyclic modules, which are all lifting, lifting direct sums with and
+# without s-lifting, and 16 direct sums that are not lifting.
+LIFTING_MODULES = [(n, (n,)) for n in (2, 4, 8, 12, 16, 27, 30, 36, 48, 60, 64, 72, 96)] + [
+    (2, (2, 2)), (2, (2, 2, 2)), (2, (2, 2, 2, 2)), (3, (3, 3, 3)), (4, (4, 4)), (4, (4, 2)),
+    (4, (4, 2, 2)), (6, (6, 6)), (6, (6, 2)), (6, (6, 3)), (6, (3, 3, 2)), (8, (8, 8)),
+    (8, (8, 4)), (9, (9, 3)), (9, (9, 9)), (10, (10, 10)), (12, (12, 6)), (12, (12, 4)),
+    (14, (14, 7)), (12, (6, 4)), (12, (12, 3)), (18, (18, 6)), (18, (18, 3)), (20, (20, 2)),
+    (24, (24, 4)), (24, (12, 6)), (15, (15, 5)), (30, (6, 10)), (36, (36, 2)), (36, (12, 6)),
+    (40, (20, 4)), (45, (15, 9)), (48, (12, 4)),
+    (8, (8, 2)), (16, (8, 2)), (16, (16, 2)), (16, (16, 4)), (24, (8, 6)), (24, (24, 2)),
+    (24, (24, 6)), (27, (27, 3)), (32, (32, 2)), (32, (32, 4)), (40, (8, 2)), (40, (10, 8)),
+    (40, (40, 2)), (48, (16, 6)), (48, (16, 12)), (48, (48, 4)),
+]
+
 # Modules whose quotients by every submodule are checked too.
 QUOTIENT_MODULES = [(12, (12,)), (4, (4, 2))]
 
@@ -279,6 +294,21 @@ class TestSmallness:
 
     def test_six_small_in_z12(self):
         assert is_small(span(z(12), (6,)))
+
+
+class TestLifting:
+    @pytest.mark.parametrize("ring,factors", LIFTING_MODULES, ids=module_ids(LIFTING_MODULES))
+    def test_matches_coset_reference(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        lifting = oracles.lifting_reference(module)
+        assert is_lifting_module(module) == lifting
+        assert is_s_lifting_module(module) == oracles.s_lifting_reference(module)
+
+    def test_corpus_has_both_verdicts(self):
+        verdicts = [(is_lifting_module(m), is_s_lifting_module(m))
+                    for m in (FiniteModule(Ring(r), f) for r, f in LIFTING_MODULES)]
+        assert verdicts.count((False, False)) >= 15
+        assert (True, True) in verdicts and (True, False) in verdicts
 
 
 class TestClassPredicates:
