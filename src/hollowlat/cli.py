@@ -18,7 +18,13 @@ and a generic lattice file:
 ``leq``/``sleq`` lines are closed reflexively and transitively; every
 ``act s x y`` entry (meaning s.x = y) must be present exactly once, with s a
 poset element and x, y lattice elements.  Blank lines and ``#`` comments are
-ignored.
+ignored.  The first directive, ``ring`` or ``lattice``, decides the kind of
+spec; later directives may come in any order, but a lattice spec that starts
+with ``poset`` is rejected.  A lattice spec declares at most
+LATTICE_SIZE_LIMIT lattice and POSET_SIZE_LIMIT poset elements.  Of several
+faults, the one reported is the first of: a fault on one line (in line
+order), a missing directive, a ``leq``/``sleq`` pair out of range, an ``act``
+entry out of range or repeated (in file order), the first gap in the table.
 
 Commands: submodules, spectra, pshollow, represent, minimize, verify, hasse.
 Exit codes: 0 all pass, 1 any failing claim, 2 only hypothesis-unmet claims,
@@ -63,6 +69,10 @@ COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verif
 # Largest lattice a lattice spec may declare: verify on a chain of this size
 # takes about 5 s, and about 20 s with a poset of the same size.
 LATTICE_SIZE_LIMIT = 256
+# Largest poset a lattice spec may declare.  It admits the 2304 divisors of
+# 6983776800, so every spec emitted from an admitted module spec parses.  With
+# one lattice element, spectra at this size takes 2 s on an antichain, 25 s on a chain.
+POSET_SIZE_LIMIT = 4096
 # Largest ring modulus a module spec may declare.  The ideals of Z/nZ are the
 # poset of every module action, and verify's work grows with the square of
 # their number: below this limit 6983776800 has the most divisors, 2304, and
@@ -120,91 +130,71 @@ def _ints(lineno, words, count=None):
 
 
 def _parse_module(rows, bound) -> FiniteModule:
-    ring = None
-    factors = None
+    values = {}
     for lineno, words in rows:
         key, rest = words[0], words[1:]
-        if key == "ring":
-            if ring is not None:
-                raise ParseError(lineno, "duplicate ring directive")
-            (n,) = _ints(lineno, rest, 1)
-            if n > RING_MODULUS_LIMIT:
-                raise ParseError(lineno, f"ring modulus must be at most "
-                                         f"{RING_MODULUS_LIMIT}, got {n}")
-            ring = n
-        elif key == "module":
-            if factors is not None:
-                raise ParseError(lineno, "duplicate module directive")
-            if not rest:
-                raise ParseError(lineno, "module directive needs at least one factor")
-            factors = _ints(lineno, rest)
-        else:
+        if key not in ("ring", "module"):
             raise ParseError(lineno, f"unknown directive {key!r} in module spec")
-    if ring is None or factors is None:
+        if key in values:
+            raise ParseError(lineno, f"duplicate {key} directive")
+        if key == "module" and not rest:
+            raise ParseError(lineno, "module directive needs at least one factor")
+        values[key] = _ints(lineno, rest, 1 if key == "ring" else None)
+        if key == "ring" and values[key][0] > RING_MODULUS_LIMIT:
+            raise ParseError(lineno, f"ring modulus must be at most "
+                                     f"{RING_MODULUS_LIMIT}, got {values[key][0]}")
+    if len(values) < 2:
         raise ParseError(None, "module spec needs both 'ring' and 'module' directives")
     try:
-        return FiniteModule(Ring(ring), factors, bound=bound)
+        return FiniteModule(Ring(values["ring"][0]), values["module"], bound=bound)
     except (ValueError, ModuleError) as exc:
         raise ValidationError(str(exc)) from exc
 
 
 def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
-    lat_size = pos_size = None
-    leq, sleq = [], []
-    acts: dict[tuple[int, int], tuple[int, int]] = {}  # (s, x) -> (y, line)
+    sizes = {}
+    entries = {"leq": [], "sleq": [], "act": []}  # (line, *integers) per directive
     for lineno, words in rows:
         key, rest = words[0], words[1:]
-        if key == "lattice":
-            if lat_size is not None:
-                raise ParseError(lineno, "duplicate lattice directive")
-            (lat_size,) = _ints(lineno, rest, 1)
-            if not 1 <= lat_size <= LATTICE_SIZE_LIMIT:
-                raise ParseError(lineno, f"lattice size must be between 1 and "
-                                         f"{LATTICE_SIZE_LIMIT}, got {lat_size}")
-        elif key == "leq":
-            leq.append((*_ints(lineno, rest, 2), lineno))
-        elif key == "poset":
-            if pos_size is not None:
-                raise ParseError(lineno, "duplicate poset directive")
-            (pos_size,) = _ints(lineno, rest, 1)
-            if pos_size < 1:
-                raise ParseError(lineno, f"poset size must be at least 1, got {pos_size}")
-        elif key == "sleq":
-            sleq.append((*_ints(lineno, rest, 2), lineno))
-        elif key == "act":
-            s, x, y = _ints(lineno, rest, 3)
-            if (s, x) in acts:
-                raise ParseError(lineno, f"duplicate act entry for ({s}, {x})")
-            acts[(s, x)] = (y, lineno)
+        if key in entries:
+            entries[key].append((lineno, *_ints(lineno, rest, 3 if key == "act" else 2)))
+        elif key in ("lattice", "poset"):
+            if key in sizes:
+                raise ParseError(lineno, f"duplicate {key} directive")
+            (size,) = _ints(lineno, rest, 1)
+            limit = LATTICE_SIZE_LIMIT if key == "lattice" else POSET_SIZE_LIMIT
+            if not 1 <= size <= limit:
+                bound = (f"between 1 and {limit}" if key == "lattice"
+                         else "at least 1" if size < 1 else f"at most {limit}")
+                raise ParseError(lineno, f"{key} size must be {bound}, got {size}")
+            sizes[key] = size
         else:
             raise ParseError(lineno, f"unknown directive {key!r} in lattice spec")
-    if lat_size is None or pos_size is None:
+    if len(sizes) < 2:
         raise ParseError(None, "lattice spec needs 'lattice' and 'poset' directives")
-    for key, pairs, size in (("leq", leq, lat_size), ("sleq", sleq, pos_size)):
-        for i, j, lineno in pairs:
+    lat_size, pos_size = sizes["lattice"], sizes["poset"]
+    for key, size in (("leq", lat_size), ("sleq", pos_size)):
+        for lineno, i, j in entries[key]:
             if not (0 <= i < size and 0 <= j < size):
                 raise ParseError(lineno, f"{key} {i} {j} out of range for size {size}")
-    for (s, x), (y, lineno) in acts.items():
+    table = [[None] * lat_size for _ in range(pos_size)]  # None marks a gap
+    for lineno, s, x, y in entries["act"]:
         if not (0 <= s < pos_size and 0 <= x < lat_size and 0 <= y < lat_size):
-            raise ParseError(lineno,
-                             f"act {s} {x} {y} out of range for poset size {pos_size} "
-                             f"and lattice size {lat_size}")
-    # Entries are in range and unique, so a short count means a gap.
-    if len(acts) < pos_size * lat_size:
-        s, x = next((s, x) for s in range(pos_size) for x in range(lat_size)
-                    if (s, x) not in acts)
-        raise ParseError(None, f"action table incomplete; first missing entry act {s} {x}")
+            raise ParseError(lineno, f"act {s} {x} {y} out of range for poset size "
+                                     f"{pos_size} and lattice size {lat_size}")
+        if table[s][x] is not None:
+            raise ParseError(lineno, f"duplicate act entry for ({s}, {x})")
+        table[s][x] = y
+    for s, row in enumerate(table):
+        if None in row:
+            raise ParseError(None, f"action table incomplete; first missing entry "
+                                   f"act {s} {row.index(None)}")
     try:
-        lattice = build_lattice(lat_size, [(i, j) for i, j, _ in leq])
-        poset = build_poset(pos_size, [(i, j) for i, j, _ in sleq])
+        lattice = build_lattice(lat_size, [(i, j) for _, i, j in entries["leq"]])
+        poset = build_poset(pos_size, [(i, j) for _, i, j in entries["sleq"]])
+        return lattice, make_action(lattice, poset, table)
     except LatticeError as exc:
         raise ValidationError(str(exc)) from exc
-    table = [[acts[(s, x)][0] for x in range(lat_size)] for s in range(pos_size)]
-    try:
-        action = make_action(lattice, poset, table)
-    except LatticeError as exc:
-        raise ValidationError(str(exc)) from exc
-    return lattice, action
 
 
 def emit_module_spec(module: FiniteModule) -> str:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hollowlat import cli
 from hollowlat.cli import (
     LATTICE_SIZE_LIMIT,
     RING_MODULUS_LIMIT,
@@ -261,10 +262,69 @@ class TestMalformedInput:
         err = self.assert_rejected(["verify", "--in", spec], capsys)
         assert err.startswith(f"error: line {line}: ")
 
+    def test_poset_above_size_limit(self, tmp_path, capsys):
+        # A complete action table: the spec is rejected only for its poset size.
+        acts = "".join(f"act {s} 0 0\n" for s in range(5000))
+        spec = write(tmp_path, "l.spec", "lattice 1\nposet 5000\n" + acts)
+        err = self.assert_rejected(["spectra", "--in", spec], capsys)
+        assert err == (f"error: line 2: poset size must be at most "
+                       f"{cli.POSET_SIZE_LIMIT}, got 5000\n")
+
+    def test_emitted_spec_of_largest_divisor_poset_parses(self, tmp_path):
+        # Below the ring limit, 6983776800 has the most divisors: 2304 ideals.
+        module = FiniteModule(Ring(6983776800), [2])
+        spec = write(tmp_path, "l.spec", emit_lattice_spec(submodule_lattice(module)[1]))
+        lattice, action = parse_spec(spec)
+        assert lattice.size == 2 and action.poset.size == 2304
+
     @pytest.mark.parametrize("max_terms", ["0", "-2"])
     def test_represent_max_terms_below_one(self, tmp_path, capsys, max_terms):
         spec = write(tmp_path, "m.spec", Z12)
         self.assert_rejected(["represent", "--in", spec, "--max-terms", max_terms], capsys)
+
+
+class TestParserMessages:
+    """The full error line for each parser fault, and which of several comes first."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("ring 12\nmodle 12\n", "line 2: unknown directive 'modle' in module spec"),
+        (CHAIN_SPEC + "acts 0 0 0\n", "line 6: unknown directive 'acts' in lattice spec"),
+        ("ring 12\nmodule 12\nring 6\n", "line 3: duplicate ring directive"),
+        ("ring 12\nmodule 12\nmodule 6\n", "line 3: duplicate module directive"),
+        (CHAIN_SPEC.replace("poset 1", "poset 1\nlattice 2"),
+         "line 4: duplicate lattice directive"),
+        (CHAIN_SPEC + "poset 1\n", "line 6: duplicate poset directive"),
+        ("ring 12\nmodule 1x\n", "line 2: expected integers, got 1x"),
+        (CHAIN_SPEC.replace("leq 0 1", "leq 0 one"), "line 2: expected integers, got 0 one"),
+        (CHAIN_SPEC.replace("act 0 1 1", "act 0 1"), "line 5: expected 3 integers, got 2"),
+        ("ring 10000000002\nmodule 2\n",
+         "line 1: ring modulus must be at most 10000000000, got 10000000002"),
+        ("ring 12\nmodule\n", "line 2: module directive needs at least one factor"),
+        ("ring 12\n", "module spec needs both 'ring' and 'module' directives"),
+        ("lattice 1\nact 0 0 0\n", "lattice spec needs 'lattice' and 'poset' directives"),
+        ("lattice 257\nposet 1\n", "line 1: lattice size must be between 1 and 256, got 257"),
+        ("lattice 1\nposet 0\nact 0 0 0\n", "line 2: poset size must be at least 1, got 0"),
+        (CHAIN_SPEC.replace("leq 0 1", "leq 0 5"), "line 2: leq 0 5 out of range for size 2"),
+        (CHAIN_SPEC.replace("poset 1", "poset 1\nsleq 0 3"),
+         "line 4: sleq 0 3 out of range for size 1"),
+        (CHAIN_SPEC + "act 7 0 0\n",
+         "line 6: act 7 0 0 out of range for poset size 1 and lattice size 2"),
+        (CHAIN_SPEC + "act 0 1 0\n", "line 6: duplicate act entry for (0, 1)"),
+        (CHAIN_SPEC.replace("poset 1", "poset 2") + "act 1 0 0\n",
+         "action table incomplete; first missing entry act 1 1"),
+        ("poset 1\nlattice 1\nact 0 0 0\n", "line 1: expected 'ring' or 'lattice', got 'poset'"),
+        # Several faults: the out-of-range leq pair comes before the repeated act entry.
+        (CHAIN_SPEC.replace("leq 0 1", "leq 0 5") + "act 0 1 0\n",
+         "line 2: leq 0 5 out of range for size 2"),
+    ], ids=["unknown-module", "unknown-lattice", "duplicate-ring", "duplicate-module",
+            "duplicate-lattice", "duplicate-poset", "integers-module", "integers-lattice",
+            "integer-count", "ring-limit", "empty-module", "missing-module", "missing-poset",
+            "lattice-size", "poset-zero", "leq-range", "sleq-range", "act-range",
+            "duplicate-act", "incomplete", "first-directive", "fault-order"])
+    def test_error_line(self, tmp_path, capsys, text, message):
+        spec = write(tmp_path, "s.spec", text)
+        assert main(["spectra", "--in", spec]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestReports:
