@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
 import sys
 
 from . import pshollow as ph
@@ -53,7 +52,6 @@ from .lattice import (
 )
 from .modules import (
     DEFAULT_ORDER_BOUND,
-    ORDER_BOUND_ENV,
     FiniteModule,
     ModuleError,
     Ring,
@@ -71,7 +69,7 @@ COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verif
 LATTICE_SIZE_LIMIT = 256
 # Largest poset a lattice spec may declare.  It admits the 2304 divisors of
 # 6983776800, so every spec emitted from an admitted module spec parses.  With
-# one lattice element, spectra at this size takes 2 s on an antichain, 25 s on a chain.
+# one lattice element, spectra at this size takes 2 s on an antichain, 20 s on a chain.
 POSET_SIZE_LIMIT = 4096
 # Largest ring modulus a module spec may declare.  The ideals of Z/nZ are the
 # poset of every module action, and verify's work grows with the square of
@@ -197,11 +195,6 @@ def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
         raise ValidationError(str(exc)) from exc
 
 
-def emit_module_spec(module: FiniteModule) -> str:
-    return (f"ring {module.ring.n}\n"
-            f"module {' '.join(str(d) for d in module.factors)}\n")
-
-
 def emit_lattice_spec(action: PosetAction) -> str:
     lat, pos = action.lattice, action.poset
     lines = [f"lattice {lat.size}"]
@@ -296,12 +289,6 @@ def module_battery(module: FiniteModule) -> Report:
 
 
 # -- commands -------------------------------------------------------------------
-
-def _require_module(parsed, command: str) -> FiniteModule:
-    if not isinstance(parsed, FiniteModule):
-        raise ValidationError(f"command {command!r} needs a module spec file")
-    return parsed
-
 
 def _summand_int(token: str, word: str) -> int:
     try:
@@ -465,31 +452,18 @@ def _write(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def run(args) -> tuple[Report, int]:
-    bound = args.bound
-    if bound is None:
-        raw = os.environ.get(ORDER_BOUND_ENV, str(DEFAULT_ORDER_BOUND))
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise ValidationError(f"{ORDER_BOUND_ENV} must be an integer, "
-                                  f"got {raw!r}") from None
-    parsed = parse_spec(args.input, bound=bound)
-    if args.command == "submodules":
-        report = cmd_submodules(_require_module(parsed, args.command), args)
-    elif args.command == "spectra":
-        report = cmd_spectra(parsed, args)
-    elif args.command == "pshollow":
-        report = cmd_pshollow(_require_module(parsed, args.command), args)
-    elif args.command == "represent":
-        report = cmd_represent(_require_module(parsed, args.command), args)
-    elif args.command == "minimize":
-        report = cmd_minimize(_require_module(parsed, args.command), args)
-    elif args.command == "verify":
-        report = cmd_verify(parsed, args)
-    else:
-        report = cmd_hasse(parsed, args)
-    return report, report.exit_code()
+def run(args) -> Report:
+    # Command name -> (handler, needs a module spec).  Built per call so that
+    # it holds whatever the cmd_* names are bound to now, wrapped or not.
+    commands = {"submodules": (cmd_submodules, True), "spectra": (cmd_spectra, False),
+                "pshollow": (cmd_pshollow, True), "represent": (cmd_represent, True),
+                "minimize": (cmd_minimize, True), "verify": (cmd_verify, False),
+                "hasse": (cmd_hasse, False)}
+    handler, module_only = commands[args.command]
+    parsed = parse_spec(args.input, bound=args.bound)
+    if module_only and not isinstance(parsed, FiniteModule):
+        raise ValidationError(f"command {args.command!r} needs a module spec file")
+    return handler(parsed, args)
 
 
 # One parser serves every call in a process: parse_args keeps no state on it.
@@ -504,9 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module or lattice spec file")
     parser.add_argument("--max-terms", type=int, default=None,
                         help="cap on representation length (represent)")
-    parser.add_argument("--bound", type=int, default=None,
-                        help=f"module order bound (default {DEFAULT_ORDER_BOUND}, "
-                             f"env {ORDER_BOUND_ENV})")
+    parser.add_argument("--bound", type=int, default=DEFAULT_ORDER_BOUND,
+                        help=f"module order bound (default {DEFAULT_ORDER_BOUND})")
     parser.add_argument("--dot", metavar="PATH", help="write the Hasse diagram here")
     parser.add_argument("--report", metavar="PATH",
                         help="write the machine-readable report here")
@@ -527,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, code = run(args)
+        report = run(args)
         if args.report:
             _write(args.report, report.render_machine())
     except (ParseError, ValidationError, ModuleError, LatticeError) as exc:

@@ -60,10 +60,12 @@ def _close_and_check(size: int, pairs) -> list[int]:
         for i in range(size):
             if up[i] & bit:
                 up[i] |= up[k]
-    for i in range(size):
-        for j in _bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise NotAPartialOrder(f"antisymmetry fails on {i} and {j}")
+    # In a closed order, i <= j <= i holds exactly when rows i and j are equal.
+    first = {}
+    for i, row in enumerate(up):
+        earlier = first.setdefault(row, i)
+        if earlier != i:
+            raise NotAPartialOrder(f"antisymmetry fails on {earlier} and {i}")
     return up
 
 

@@ -46,7 +46,6 @@ from .lattice import (
 from .spectra import is_kind, spectrum
 
 DEFAULT_ORDER_BOUND = 4096
-ORDER_BOUND_ENV = "HOLLOWLAT_BOUND"
 
 
 class ModuleError(Exception):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .lattice import (
     FiniteLattice,
@@ -350,40 +351,28 @@ def random_action(rng: random.Random, lattice: FiniteLattice, poset: FinitePoset
     elementwise, sampling each entry uniformly from the interval of values
     permitted by the axioms given the entries fixed so far.
     """
+    # Both orders are linear extensions, so everything strictly below s (or
+    # x) is assigned before it, and each lower bound is a join over a row.
     sorder = poset.linear_extension()
-    lorder = sorted(range(lattice.size),
-                    key=lambda x: (bin(lattice.down[x]).count("1"), x))
+    lorder = sorted(range(lattice.size), key=lambda x: (lattice.down[x].bit_count(), x))
     if star_shaped:
-        tops: dict[int, int] = {}
+        tops = [lattice.bottom] * poset.size
         for s in sorder:
-            lower = lattice.bottom
-            for t in sorder:
-                if t == s:
-                    break
-                if poset.le(t, s):
-                    lower = lattice.join(lower, tops[t])
-            choices = sorted(_bits(lattice.up[lower]))
-            tops[s] = rng.choice(choices)
+            lower = reduce(lattice.join, (tops[t] for t in _bits(poset.down[s] ^ (1 << s))),
+                           lattice.bottom)
+            tops[s] = rng.choice(list(_bits(lattice.up[lower])))
         table = [[lattice.meet(tops[s], x) for x in range(lattice.size)]
                  for s in range(poset.size)]
         return make_action(lattice, poset, table)
 
     table = [[0] * lattice.size for _ in range(poset.size)]
-    assigned = [[False] * lattice.size for _ in range(poset.size)]
     for s in sorder:
+        row, below = table[s], [table[t] for t in _bits(poset.down[s] ^ (1 << s))]
         for x in lorder:
-            lower = lattice.bottom
-            for xp in _bits(lattice.down[x]):
-                if assigned[s][xp]:
-                    lower = lattice.join(lower, table[s][xp])
-            for t in sorder:
-                if t == s:
-                    break
-                if poset.le(t, s) and assigned[t][x]:
-                    lower = lattice.join(lower, table[t][x])
-            choices = sorted(m for m in _bits(lattice.up[lower]) if lattice.le(m, x))
-            table[s][x] = rng.choice(choices)
-            assigned[s][x] = True
+            lower = reduce(lattice.join, (row[xp] for xp in _bits(lattice.down[x] ^ (1 << x))),
+                           lattice.bottom)
+            lower = reduce(lattice.join, (r[x] for r in below), lower)
+            row[x] = rng.choice(list(_bits(lattice.up[lower] & lattice.down[x])))
     return make_action(lattice, poset, table)
 
 

@@ -32,6 +32,10 @@ bitmasks, the distributivity loops that called meet and join at each
 instance before the package read table rows, and the class-based quotient
 and the rebuilt lower interval that the package replaced by restrictions of
 the lattice to an interval.
+
+The random action reference is the generator loop the package ran before it
+read each lower bound off a row: it marks the entries assigned so far and
+scans the poset order for the elements below s.
 """
 
 import itertools
@@ -416,3 +420,42 @@ def quotient_reference(action, x):
         assert all(len(image) == 1 for image in images), s
         table.append([image.pop() for image in images])
     return sub, make_action(sub, action.poset, table), class_map
+
+
+def random_action_reference(rng, lattice, poset, star_shaped=False):
+    """spectra.random_action as an assigned-entries scan; the same rng calls."""
+    sorder = poset.linear_extension()
+    lorder = sorted(range(lattice.size),
+                    key=lambda x: (bin(lattice.down[x]).count("1"), x))
+    if star_shaped:
+        tops = {}
+        for s in sorder:
+            lower = lattice.bottom
+            for t in sorder:
+                if t == s:
+                    break
+                if poset.le(t, s):
+                    lower = lattice.join(lower, tops[t])
+            choices = sorted(_bits(lattice.up[lower]))
+            tops[s] = rng.choice(choices)
+        table = [[lattice.meet(tops[s], x) for x in range(lattice.size)]
+                 for s in range(poset.size)]
+        return make_action(lattice, poset, table)
+
+    table = [[0] * lattice.size for _ in range(poset.size)]
+    assigned = [[False] * lattice.size for _ in range(poset.size)]
+    for s in sorder:
+        for x in lorder:
+            lower = lattice.bottom
+            for xp in _bits(lattice.down[x]):
+                if assigned[s][xp]:
+                    lower = lattice.join(lower, table[s][xp])
+            for t in sorder:
+                if t == s:
+                    break
+                if poset.le(t, s) and assigned[t][x]:
+                    lower = lattice.join(lower, table[t][x])
+            choices = sorted(m for m in _bits(lattice.up[lower]) if lattice.le(m, x))
+            table[s][x] = rng.choice(choices)
+            assigned[s][x] = True
+    return make_action(lattice, poset, table)

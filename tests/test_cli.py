@@ -11,7 +11,6 @@ from hollowlat.cli import (
     build_parser,
     emit_dot,
     emit_lattice_spec,
-    emit_module_spec,
     main,
     parse_spec,
 )
@@ -98,11 +97,6 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    def test_module_round_trip(self, tmp_path):
-        module = parse_spec(write(tmp_path, "m.spec", KLEIN))
-        again = parse_spec(write(tmp_path, "m2.spec", emit_module_spec(module)))
-        assert again.ring.n == module.ring.n and again.factors == module.factors
-
     def test_lattice_round_trip(self, tmp_path):
         module = parse_spec(write(tmp_path, "m.spec", Z12))
         lat, act = submodule_lattice(module)
@@ -165,9 +159,11 @@ class TestExitCodes:
         assert main(["submodules", "--in", spec]) == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_lattice_command_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("command", ["submodules", "pshollow", "represent", "minimize"])
+    def test_lattice_command_mismatch(self, tmp_path, capsys, command):
         spec = write(tmp_path, "l.spec", CHAIN_SPEC)
-        assert main(["pshollow", "--in", spec]) == 3
+        assert main([command, "--in", spec]) == 3
+        assert capsys.readouterr().err == f"error: command {command!r} needs a module spec file\n"
 
 
 class TestMalformedInput:
@@ -186,12 +182,6 @@ class TestMalformedInput:
     def test_minimize_non_integer_coordinate(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
         self.assert_rejected(["minimize", "--in", spec, "--summands", "1:x"], capsys)
-
-    def test_bound_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOLLOWLAT_BOUND", "abc")
-        spec = write(tmp_path, "m.spec", Z12)
-        err = self.assert_rejected(["submodules", "--in", spec], capsys)
-        assert "HOLLOWLAT_BOUND" in err
 
     def test_hasse_unknown_highlight_kind(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
@@ -313,6 +303,9 @@ class TestParserMessages:
         (CHAIN_SPEC.replace("poset 1", "poset 2") + "act 1 0 0\n",
          "action table incomplete; first missing entry act 1 1"),
         ("poset 1\nlattice 1\nact 0 0 0\n", "line 1: expected 'ring' or 'lattice', got 'poset'"),
+        (CHAIN_SPEC + "leq 1 0\n", "antisymmetry fails on 0 and 1"),
+        (CHAIN_SPEC.replace("poset 1", "poset 2\nsleq 0 1\nsleq 1 0") + "act 1 0 0\nact 1 1 1\n",
+         "antisymmetry fails on 0 and 1"),
         # Several faults: the out-of-range leq pair comes before the repeated act entry.
         (CHAIN_SPEC.replace("leq 0 1", "leq 0 5") + "act 0 1 0\n",
          "line 2: leq 0 5 out of range for size 2"),
@@ -320,7 +313,8 @@ class TestParserMessages:
             "duplicate-lattice", "duplicate-poset", "integers-module", "integers-lattice",
             "integer-count", "ring-limit", "empty-module", "missing-module", "missing-poset",
             "lattice-size", "poset-zero", "leq-range", "sleq-range", "act-range",
-            "duplicate-act", "incomplete", "first-directive", "fault-order"])
+            "duplicate-act", "incomplete", "first-directive", "leq-cycle", "sleq-cycle",
+            "fault-order"])
     def test_error_line(self, tmp_path, capsys, text, message):
         spec = write(tmp_path, "s.spec", text)
         assert main(["spectra", "--in", spec]) == 3
@@ -400,13 +394,6 @@ class TestReports:
         spec = write(tmp_path, "m.spec", "ring 13122\nmodule 13122\n")
         assert main(["submodules", "--in", spec, "--bound", "13122"]) == 0
         assert "PASS  submodules.count  [18]" in capsys.readouterr().out
-
-    def test_bound_env_enforced(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOLLOWLAT_BOUND", "10")
-        spec = write(tmp_path, "m.spec", Z30)
-        assert main(["submodules", "--in", spec]) == 3
-        monkeypatch.setenv("HOLLOWLAT_BOUND", "64")
-        assert main(["submodules", "--in", spec]) == 0
 
 
 class TestParserReuse:

@@ -58,6 +58,13 @@ class TestBuildLattice:
         with pytest.raises(NotAPartialOrder):
             build_lattice(3, [(0, 1), (1, 0), (0, 2)])
 
+    def test_cycle_named_at_first_repeated_row(self):
+        # Cycles {0, 3} and {1, 2}: elements on one cycle have equal closed
+        # rows, and row 2 is the first to repeat an earlier row (row 1).  So
+        # the message names 1 and 2, not the cycle through the least element.
+        with pytest.raises(NotAPartialOrder, match="^antisymmetry fails on 1 and 2$"):
+            build_poset(4, [(0, 3), (3, 0), (1, 2), (2, 1)])
+
     def test_transitive_closure_applied(self):
         lat = build_lattice(3, [(0, 1), (1, 2)])
         assert lat.le(0, 2)

@@ -1,4 +1,5 @@
 import collections
+import random
 
 import oracles
 import pytest
@@ -226,6 +227,25 @@ class TestDualityChecks:
 
 class TestAgainstReference:
     """Whole spectra against the per-element loops in tests/oracles.py."""
+
+    @pytest.mark.parametrize("max_lattice,max_poset", [(8, 4), (16, 6)])
+    def test_random_action_matches_reference(self, max_lattice, max_poset):
+        # random_instance's draws, then both generators from the same rng state:
+        # the same table, and the same rng calls made.
+        for seed in range(200):
+            rng = random.Random(seed)
+            lat = spectra.random_lattice(rng, max_lattice)
+            poset = spectra.random_poset(rng, max_poset)
+            star = rng.random() < 0.4
+            state = rng.getstate()
+            want = oracles.random_action_reference(rng, lat, poset, star)
+            after = rng.getstate()
+            rng.setstate(state)
+            got = spectra.random_action(rng, lat, poset, star)
+            assert rng.getstate() == after, seed
+            assert cli.emit_lattice_spec(got) == cli.emit_lattice_spec(want), seed
+            assert (cli.emit_lattice_spec(random_instance(seed, max_lattice, max_poset))
+                    == cli.emit_lattice_spec(want)), seed
 
     @pytest.mark.parametrize("act", [pytest.param(act, id=label)
                                      for label, act in oracles.reference_actions()])
