@@ -28,7 +28,7 @@ entry out of range or repeated (in file order), the first gap in the table.
 
 Commands: submodules, spectra, pshollow, represent, minimize, verify, hasse.
 Exit codes: 0 all pass, 1 any failing claim, 2 only hypothesis-unmet claims,
-3 unusable input.
+3 unusable input, a malformed command line included.
 """
 
 from __future__ import annotations
@@ -466,10 +466,16 @@ def run(args) -> Report:
     return handler(parsed, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is unusable input
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 # One parser serves every call in a process: parse_args keeps no state on it.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hollowlat",
         description="Spectra and hollow representation analysis for finite "
                     "lattices with poset actions and modules over Z/nZ.")

@@ -18,6 +18,7 @@ meet and join tables, so its dual swaps those too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import itemgetter
 
 
@@ -39,6 +40,23 @@ class Unbounded(LatticeError):
 
 class AxiomViolation(LatticeError):
     """An action table breaks one of the three action axioms."""
+
+
+def memo(fn):
+    """fn(obj, *args), computed once per object and argument tuple.
+
+    The value is kept in obj.cache under the key (fn, *args), so it lives
+    exactly as long as obj: a process-wide cache would keep every object it
+    has seen alive.  Falsy values are kept like any other.
+    """
+    @wraps(fn)
+    def cached(obj, *args):
+        key, cache = (fn, *args), obj.cache
+        if key not in cache:
+            cache[key] = fn(obj, *args)
+        return cache[key]
+
+    return cached
 
 
 def _bits(mask: int):
@@ -111,7 +129,7 @@ class FinitePoset:
 
     def linear_extension(self) -> list[int]:
         """Elements ordered so that comparabilities point forward."""
-        return sorted(range(self.size), key=lambda i: (bin(self.up[i]).count("1"), i), reverse=True)
+        return sorted(range(self.size), key=lambda i: (self.up[i].bit_count(), i), reverse=True)
 
 
 def build_poset(size: int, pairs) -> FinitePoset:
@@ -217,8 +235,8 @@ class PosetAction:
     lattice: FiniteLattice
     poset: FinitePoset
     table: tuple[tuple[int, ...], ...] = field(repr=False)
-    # What is computed once per action, such as the spectra's violation masks
-    # and the join-distributivity verdict.
+    # The values memoized on the action (see memo), such as the spectra's
+    # violation masks and the join-distributivity verdict.
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, s: int, x: int) -> int:
@@ -363,20 +381,11 @@ def is_multiplication(action: PosetAction) -> bool:
     return all(x in hits for x in range(action.lattice.size))
 
 
+@memo
 def is_join_distributive(action: PosetAction) -> bool:
     """Whether s.(y join z) = (s.y) join (s.z) holds for all s, y, z.
 
-    The verdict is kept on the action, so each action is scanned once.
-    """
-    got = action.cache.get("join_distributive")
-    if got is None:
-        got = action.cache["join_distributive"] = _scan_join_distributive(action)
-    return got
-
-
-def _scan_join_distributive(action: PosetAction) -> bool:
-    """The scan behind is_join_distributive.
-
+    The verdict is memoized on the action, so each action is scanned once.
     The instances are visited s first, then the pairs y <= z in
     combinations_with_replacement order, and the first failure ends the
     search.  Both joins are read from rows of the join table: the row of y

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .lattice import (
     FiniteLattice,
@@ -42,6 +42,7 @@ from .lattice import (
     is_multiplication,
     lattice_from_up,
     make_action,
+    memo,
 )
 from .spectra import is_kind, spectrum
 
@@ -60,7 +61,7 @@ class ZeroSubmodule(ModuleError):
     """A nonzero submodule was required."""
 
 
-@lru_cache(maxsize=None)
+@cache
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """The pairs (p, v_p(n)) by ascending prime p, by trial division up to sqrt(n)."""
     out, p = [], 2
@@ -77,7 +78,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _divisors(n: int) -> tuple[int, ...]:
     divs = [1]
     for p, v in _factor(n):
@@ -180,7 +181,7 @@ class FiniteModule:
         # times its place value.
         self._place = tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
         self._columns = tuple([x * w for x in range(d)] for d, w in zip(factors, self._place))
-        self._cache: dict = {}
+        self.cache: dict = {}  # the values memoized on the module (see lattice.memo)
 
     zero = 0
 
@@ -250,7 +251,7 @@ class CosetModule:
         self.size = len(reps)
         self.reps = tuple(reps)
         self._proj = tuple(proj)
-        self._cache: dict = {}
+        self.cache: dict = {}
 
     zero = 0
 
@@ -319,24 +320,8 @@ class Submodule:
         return f"Submodule({self.name})"
 
 
-class _Translations(dict):
-    """The translation maps x -> x + g of one module, each built on first use.
-
-    A table lives for one call and is dropped when the call returns: the
-    maps take module.size entries each, and no later query reads them.
-    """
-
-    def __init__(self, module):
-        super().__init__()
-        self.module = module
-
-    def __missing__(self, g: int) -> list[int]:
-        shift = self[g] = self.module.translation_map(g)
-        return shift
-
-
-def _closure(shifts: _Translations, seed: frozenset[int], g: int) -> frozenset[int]:
-    """The subgroup seed + <g>, for a subgroup seed.
+def _closure(shift: list[int], seed: frozenset[int], g: int) -> frozenset[int]:
+    """The subgroup seed + <g>, for a subgroup seed and g's translation map.
 
     H + <g> is the union of the cosets H + kg for k = 0, 1, ... up to the
     first k with kg in H, where the cosets start to repeat; walking g's
@@ -344,7 +329,6 @@ def _closure(shifts: _Translations, seed: frozenset[int], g: int) -> frozenset[i
     the map over the last.
     """
     members = set(seed)
-    shift = shifts[g]
     walk = []  # g, 2g, ..., up to the first multiple in H
     x = g
     while x not in members:
@@ -376,8 +360,8 @@ def _least(containing: list[int], elements) -> int:
 
 def span(module, gens) -> Submodule:
     """Least submodule containing the given elements (additive closure)."""
-    # enumerate_submodules fills the masks before the subscript reads them.
-    return enumerate_submodules(module)[_least(module._cache["containing"], gens)]
+    # enumerate_submodules runs first, so every first enumeration goes through it.
+    return enumerate_submodules(module)[_least(_enumeration(module)[1], gens)]
 
 
 def zero_submodule(module) -> Submodule:
@@ -398,14 +382,16 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     projection.  The submodules of a part (or of a module of prime power
     order, or of a quotient) are the sums of its cyclic submodules, found by
     walking each cyclic submodule once and closing under H + <g>.  The
-    translation maps these steps read are built during the call and dropped
-    when it returns; the masks containing[x] of the submodules holding each
-    element x are kept on the module, and the greedy generators read them.
+    result is memoized on the module, with the masks containing[x] of the
+    submodules holding each element x (_enumeration).
     """
-    cached = module._cache.get("submodules")
-    if cached is not None:
-        return cached
-    ordered = sorted(_member_sets(_Translations(module)), key=lambda m: (len(m), sorted(m)))
+    return _enumeration(module)[0]
+
+
+@memo
+def _enumeration(module) -> tuple[tuple[Submodule, ...], list[int]]:
+    """The submodules in canonical order, and the masks containing[x]."""
+    ordered = sorted(_member_sets(module), key=lambda m: (len(m), sorted(m)))
     containing = [0] * module.size
     for i, members in enumerate(ordered):
         for x in members:
@@ -418,17 +404,14 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
                 gens.append(m)
                 least = _least(containing, gens)
         subs.append(Submodule(module, members, tuple(gens), i))
-    module._cache["submodules"] = subs = tuple(subs)
-    module._cache["containing"] = containing
-    return subs
+    return tuple(subs), containing
 
 
-def _member_sets(shifts: _Translations) -> list[frozenset[int]]:
-    """Member sets of all submodules of shifts.module, in no particular order."""
-    module = shifts.module
+def _member_sets(module) -> list[frozenset[int]]:
+    """Member sets of all submodules, in no particular order."""
     powers = [p ** v for p, v in _factor(module.size)]
     if not isinstance(module, FiniteModule) or len(powers) < 2:
-        return _subgroups(shifts)
+        return _subgroups(module)
     parts = []
     for q in powers:
         kept = [(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
@@ -449,22 +432,23 @@ def _member_sets(shifts: _Translations) -> list[frozenset[int]]:
     lift = [0] * module.size
     for x, key in enumerate(module._coordinatewise(columns)):
         lift[key] = x
-    weighted = [[[y * w for y in sub] for sub in _subgroups(_Translations(part))]
+    weighted = [[[y * w for y in sub] for sub in _subgroups(part)]
                 for (part, _), w in zip(parts, radix)]
     return [frozenset([lift[key] for key in map(sum, itertools.product(*combo))])
             for combo in itertools.product(*weighted)]
 
 
-def _subgroups(shifts: _Translations) -> list[frozenset[int]]:
+def _subgroups(module) -> list[frozenset[int]]:
     """Member sets of all subgroups, as sums of cyclic subgroups.
 
     Each cyclic subgroup <g> is walked once, as 0, g, 2g, ...; every kg with
     k prime to the order of g generates the same subgroup, so it is not
     walked again.  Every subgroup is a sum of cyclic ones, so closing under
     H + <g>, with one generator g per cyclic subgroup, reaches them all.
-    Both the walk and the closures step through g's translation map.
+    Both the walk and the closures step through g's translation map, built
+    on first use and dropped when the call returns: no later query reads it.
     """
-    module = shifts.module
+    shifts = cache(module.translation_map)
     gens = []  # one generator per cyclic subgroup
     found = {frozenset({module.zero})}
     covered = [False] * module.size
@@ -472,7 +456,7 @@ def _subgroups(shifts: _Translations) -> list[frozenset[int]]:
     for g in range(module.size):
         if covered[g]:
             continue
-        shift = shifts[g]
+        shift = shifts(g)
         walk = [module.zero]
         x = g
         while x != module.zero:
@@ -488,7 +472,7 @@ def _subgroups(shifts: _Translations) -> list[frozenset[int]]:
         h = work.pop()
         for g in gens:
             if g not in h:
-                grown = _closure(shifts, h, g)
+                grown = _closure(shifts(g), h, g)
                 if grown not in found:
                     found.add(grown)
                     work.append(grown)
@@ -609,13 +593,9 @@ def kernel_of_ideal(module, ideal: Ideal) -> Submodule:
     return subs[max(x for x in lat.elements() if row[x] == lat.bottom)]
 
 
+@memo
 def quotient_module(module, kernel: Submodule) -> CosetModule:
-    cache = module._cache.setdefault("quotients", {})
-    got = cache.get(kernel.members)
-    if got is None:
-        got = CosetModule(module, kernel)
-        cache[kernel.members] = got
-    return got
+    return CosetModule(module, kernel)
 
 
 def image_in_quotient(quot: CosetModule, sub: Submodule) -> Submodule:
@@ -755,18 +735,15 @@ def find_second_submodules(module) -> tuple[Submodule, ...]:
     return tuple(subs[i] for i in spectrum(act, "second"))
 
 
+@memo
 def find_minimal_second_representations(module) -> tuple[tuple[Submodule, ...], ...]:
     """All irredundant families of second submodules summing to the module.
 
     Families are listed by size, then in ``itertools.combinations`` order over
     the second submodules in canonical order; see irredundant_families for the
-    pruned search that finds them.  The result is cached on the module.
+    pruned search that finds them.  The result is memoized on the module.
     """
-    got = module._cache.get("second_reps")
-    if got is None:
-        got = irredundant_families(module, find_second_submodules(module))
-        module._cache["second_reps"] = got
-    return got
+    return irredundant_families(module, find_second_submodules(module))
 
 
 def attached_annihilators(module) -> tuple[Ideal, ...]:
@@ -800,11 +777,14 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     divisors ascend, so the row of d/p is ready first.  make_action still
     checks the three axioms on the result.
     """
-    cached = module._cache.get("bridge")
-    if cached is not None:
-        return cached[1:]
+    return _bridge(module)[1:]
+
+
+@memo
+def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
+    """The module's submodules, lattice and action (submodule_lattice)."""
     subs = enumerate_submodules(module)
-    containing = module._cache["containing"]
+    containing = _enumeration(module)[1]
     lat = lattice_from_up(tuple(_holding(containing, s.generators) for s in subs))
     n, divs, primes = module.ring.n, module.ring.divisors, module.ring.primes
     # (dp) lies in (d); these covers generate the divisibility order.
@@ -822,15 +802,4 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
             p = next(p for p in primes if d % p == 0)
             row = rows[d] = [rows[p][y] for y in rows[d // p]]
         table.append(row)
-    action = make_action(lat, poset, table)
-    module._cache["bridge"] = (subs, lat, action)
-    return lat, action
-
-
-def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
-    """The module's submodules, lattice and action, built on first use."""
-    got = module._cache.get("bridge")
-    if got is None:
-        submodule_lattice(module)
-        got = module._cache["bridge"]
-    return got
+    return subs, lat, make_action(lat, poset, table)

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattice import lower_interval
+from .lattice import lower_interval, memo
 from .modules import (
     Ideal,
     ModuleError,
@@ -132,26 +132,27 @@ def profile(sub: Submodule) -> HollowProfile:
     """
     if sub.is_zero:
         raise ZeroSubmodule("profiles are undefined on the zero submodule")
-    module = sub.module
-    cache = module._cache.setdefault("profiles", {})
-    got = cache.get(sub.index)
-    if got is None:
-        lat, act = submodule_lattice(module)
-        poset = act.poset
-        covers = [s for s in poset.elements() if lat.le(sub.index, act.top_image(s))]
-        above = 0  # the covers with another cover strictly below them
-        for s in covers:
-            above |= poset.up[s] & ~(1 << s)
-        min_covers = [s for s in covers if not above >> s & 1]
-        hull = lat.top
-        for s in min_covers:
-            hull = lat.meet(hull, act.top_image(s))
-        ideals = module.ring.ideals()
-        got = HollowProfile(sub, tuple(ideals[s] for s in covers),
-                            tuple(ideals[s] for s in min_covers),
-                            enumerate_submodules(module)[hull], is_ps_hollow(sub))
-        cache[sub.index] = got
-    return got
+    return _profile(sub.module, sub.index)
+
+
+@memo
+def _profile(module, x: int) -> HollowProfile:
+    """The profile of the nonzero submodule with index x, memoized on the module."""
+    lat, act = submodule_lattice(module)
+    poset = act.poset
+    covers = [s for s in poset.elements() if lat.le(x, act.top_image(s))]
+    above = 0  # the covers with another cover strictly below them
+    for s in covers:
+        above |= poset.up[s] & ~(1 << s)
+    min_covers = [s for s in covers if not above >> s & 1]
+    hull = lat.top
+    for s in min_covers:
+        hull = lat.meet(hull, act.top_image(s))
+    ideals = module.ring.ideals()
+    subs = enumerate_submodules(module)
+    return HollowProfile(subs[x], tuple(ideals[s] for s in covers),
+                         tuple(ideals[s] for s in min_covers), subs[hull],
+                         is_ps_hollow(subs[x]))
 
 
 def find_ps_hollow_submodules(module) -> tuple[tuple[Submodule, HollowProfile], ...]:
@@ -197,12 +198,7 @@ def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> 
         raise HypothesisUnmet(f"{n.name} and {k.name} are comparable")
     if not (is_ps_hollow(n) and is_ps_hollow(k)):
         raise HypothesisUnmet("both submodules must be ps-hollow")
-    # The associated families are module-wide, so they are kept on the module.
-    associated = n.module._cache.get("associated_families")
-    if associated is None:
-        associated = n.module._cache["associated_families"] = frozenset().union(
-            *(prof.family for _, prof in find_ps_hollow_submodules(n.module)))
-    if not family <= associated:
+    if not family <= _associated_families(n.module):
         raise HypothesisUnmet("family is not drawn from the associated hollow ideals")
 
     def is_family(sub: Submodule) -> bool:
@@ -216,6 +212,12 @@ def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> 
     rep.check(f"profile_sum.{n.name}+{k.name}.{name}", lhs == rhs,
               f"sum_matches={lhs}", f"parts_match={rhs}")
     return rep
+
+
+@memo
+def _associated_families(module) -> frozenset[int]:
+    """The union of the covering families of the ps-hollow submodules."""
+    return frozenset().union(*(prof.family for _, prof in find_ps_hollow_submodules(module)))
 
 
 # -- representations -----------------------------------------------------------
@@ -453,19 +455,16 @@ def check_aligned_equality(r1: Representation, r2: Representation) -> Report:
 
 # -- structural theorem checkers ------------------------------------------------
 
+@memo
 def _nonsmall_outside_images(module) -> tuple[str, ...]:
     """Names of the non-small submodules that are not ideal multiples of the module.
 
-    The hypothesis they refute is module-wide, so the list is computed once
-    per module and kept on it.
+    The hypothesis they refute is module-wide, so the list is memoized on the
+    module.
     """
-    got = module._cache.get("nonsmall_outside_images")
-    if got is None:
-        images = {img.index for img in distinct_ideal_images(module)}
-        got = module._cache["nonsmall_outside_images"] = tuple(
-            k.name for k in enumerate_submodules(module)
-            if k.index not in images and not is_small(k))
-    return got
+    images = {img.index for img in distinct_ideal_images(module)}
+    return tuple(k.name for k in enumerate_submodules(module)
+                 if k.index not in images and not is_small(k))
 
 
 def check_nonsmall_inheritance(module, sub: Submodule) -> Report:

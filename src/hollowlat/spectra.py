@@ -43,6 +43,7 @@ from .lattice import (
     is_multiplication,
     lower_interval,
     make_action,
+    memo,
     quotient,
     star_action,
     _bits,
@@ -73,6 +74,7 @@ class DomainError(Exception):
     """Element outside the domain of the requested kind."""
 
 
+@memo
 def _violations(action: PosetAction, kind: str) -> int:
     """Bitmask of the elements at which the defining implication of the kind fails.
 
@@ -82,13 +84,10 @@ def _violations(action: PosetAction, kind: str) -> int:
     kind reads row a of the meet or join table, a kind of (s, y) row s of the
     action table or the row of s.top, so every term that depends on the row
     alone, such as the complement of down(a), is taken once per row.  Callers
-    apply the domain.  Masks are cached on the action.
+    apply the domain.  Masks are memoized on the action.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    got = action.cache.get(kind)
-    if got is not None:
-        return got
     lat, table = action.lattice, action.table
     up, bottom, top = lat.up, lat.bottom, lat.top
     tops = [row[top] for row in table]
@@ -144,7 +143,6 @@ def _violations(action: PosetAction, kind: str) -> int:
             for m, beyond in zip(row, outside):
                 acc |= order[m] & beyond
             got |= acc & outside[p]
-    action.cache[kind] = got
     return got
 
 
@@ -155,8 +153,7 @@ def is_kind(action: PosetAction, x: int, kind: str) -> bool:
         raise DomainError(f"{kind} is undefined on the top element")
     if x == lat.bottom and kind in LOWER_KINDS:
         raise DomainError(f"{kind} is undefined on the bottom element")
-    bad = action.cache.get(kind)
-    return not (_violations(action, kind) if bad is None else bad) >> x & 1
+    return not _violations(action, kind) >> x & 1
 
 
 def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
@@ -189,21 +186,17 @@ def is_topological(lattice: FiniteLattice, designated: frozenset[int] | set[int]
 
 # -- duality theorem and identity checkers ----------------------------------
 
+@memo
 def _quotient_firsts(action: PosetAction, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The first spectrum of the quotient at x, and every class but x's.
 
     The class of x is the bottom of the quotient.  The quotient at x is all
     first but the class of x exactly when the two agree.  Parts 3 and 4 of
-    the duality suite both ask this, so the answer is kept on the action and
-    each quotient is built once.
+    the duality suite both ask this, so the answer is memoized on the action
+    and each quotient is built once.
     """
-    memo = action.cache.setdefault("quotient_firsts", {})
-    got = memo.get(x)
-    if got is None:
-        sub, qact = quotient(action, x)
-        got = memo[x] = (spectrum(qact, "first"),
-                         tuple(i for i in range(sub.size) if i != sub.bottom))
-    return got
+    sub, qact = quotient(action, x)
+    return spectrum(qact, "first"), tuple(i for i in range(sub.size) if i != sub.bottom)
 
 
 def check_duality_theorem(action: PosetAction, part: int) -> Report:

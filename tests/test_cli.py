@@ -165,6 +165,30 @@ class TestExitCodes:
         assert main([command, "--in", spec]) == 3
         assert capsys.readouterr().err == f"error: command {command!r} needs a module spec file\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--bound", "abc"], "argument --bound: invalid int value: 'abc'"),
+        (["represent", "--max-terms", "x"], "argument --max-terms: invalid int value: 'x'"),
+        (["spectra", "--kind", "bogus"], "argument --kind: invalid choice: 'bogus'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["verify"], "the following arguments are required: --in"),
+    ], ids=["bound", "max-terms", "kind", "command", "missing-in"])
+    def test_bad_command_line_is_unusable_input(self, tmp_path, capsys, argv, message):
+        spec = write(tmp_path, "m.spec", Z12)
+        if argv != ["verify"]:
+            argv = argv[:1] + ["--in", spec] + argv[1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hollowlat ")
+        assert err.splitlines()[-1].startswith(f"hollowlat: error: {message}")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hollowlat ")
+
 
 class TestMalformedInput:
     """Malformed input exits with code 3 and an error line, never a traceback."""
@@ -437,7 +461,7 @@ class TestParserReuse:
             build_parser.cache_clear()
             fresh.append(self.outcome(argv, capsys, (report, dot)))
         codes = [got[0] for got in fresh]
-        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3, ("SystemExit", 2), 2]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 3, ("SystemExit", 3), 2]
         assert "invalid choice: 'bogus'" in fresh[9][2]
         for _ in range(2):
             for argv, want in zip(calls, fresh):

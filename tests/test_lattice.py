@@ -1,9 +1,12 @@
+import gc
 import itertools
+import weakref
 
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hollowlat import cli
 from hollowlat.lattice import (
     AxiomViolation,
     _bits,
@@ -17,6 +20,7 @@ from hollowlat.lattice import (
     is_multiplication,
     lower_interval,
     make_action,
+    memo,
     quotient,
     star_action,
     trivial_action,
@@ -354,3 +358,54 @@ class TestActionPredicates:
         m3 = build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         act = make_action(m3, build_poset(1, []), [[0, 1, 0, 0, 1]])
         assert not is_join_distributive(act)
+
+
+class TestMemo:
+    class Holder:
+        def __init__(self):
+            self.cache = {}
+
+    @staticmethod
+    def counted(value):
+        """A memoized function of (obj, *args) returning value, and the list of its calls."""
+        calls = []
+
+        @memo
+        def fn(obj, *args):
+            calls.append((obj, args))
+            return value
+
+        return fn, calls
+
+    def test_computed_once_per_object_and_arguments(self):
+        fn, calls = self.counted("v")
+        obj = self.Holder()
+        for _ in range(3):
+            assert fn(obj) == fn(obj, 1) == fn(obj, 1, 2) == fn(obj, 2) == "v"
+        assert calls == [(obj, ()), (obj, (1,)), (obj, (1, 2)), (obj, (2,))]
+
+    def test_objects_keep_separate_values(self):
+        counter = iter(range(10))
+        keyed = memo(lambda obj, x: (next(counter), x))
+        a, b = self.Holder(), self.Holder()
+        assert keyed(a, 5) == (0, 5)
+        assert keyed(b, 5) == (1, 5)
+        assert keyed(a, 5) == (0, 5) and keyed(b, 5) == (1, 5)
+        assert len(a.cache) == len(b.cache) == 1
+
+    @pytest.mark.parametrize("value", [False, 0, None, ()],
+                             ids=["false", "zero", "none", "empty-tuple"])
+    def test_falsy_values_are_kept(self, value):
+        fn, calls = self.counted(value)
+        obj = self.Holder()
+        assert fn(obj, "k") is value
+        assert fn(obj, "k") is value
+        assert len(calls) == 1
+
+    def test_module_is_freed_after_the_battery(self):
+        module = FiniteModule(Ring(12), [12])
+        assert cli.module_battery(module).findings
+        ref = weakref.ref(module)
+        del module
+        gc.collect()
+        assert ref() is None

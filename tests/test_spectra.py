@@ -199,14 +199,18 @@ class TestDualityChecks:
     def test_module_verify_scans_join_distributivity_once(self, monkeypatch):
         # The bridge action is asked twice, for bridge.join_distributive and for
         # duality part 4; Z_12 is join distributive, so part 4 runs in full.
+        # One memoized counter stands in for is_join_distributive in both
+        # callers, so a scan it counts is a memo miss.
         scans = collections.Counter()
-        original = lattice._scan_join_distributive
+        scan = lattice.is_join_distributive.__wrapped__
 
+        @lattice.memo
         def counting(action):
             scans[id(action)] += 1
-            return original(action)
+            return scan(action)
 
-        monkeypatch.setattr(lattice, "_scan_join_distributive", counting)
+        monkeypatch.setattr(cli, "is_join_distributive", counting)
+        monkeypatch.setattr(spectra, "is_join_distributive", counting)
         module = FiniteModule(Ring(12), [12])
         report = cli.module_battery(module)
         bridge = submodule_lattice(module)[1]
