@@ -13,6 +13,12 @@ every predicate a couple of machine ops at desk scale.  There is one
 representation of an order: every poset keeps both its up and its down rows,
 so its dual swaps them, and every lattice, whatever its size, also keeps its
 meet and join tables, so its dual swaps those too.
+
+The order kernels take one step per given pair or per cover, not one per
+comparable pair: the closure ORs rows along Kahn's topological order, the
+covers are read off the lowest (or highest) set bits of the up rows in a
+linear-extension (or reversed) numbering, and an interval's rows are closed
+from the lattice's covers inside it.
 """
 
 from __future__ import annotations
@@ -66,34 +72,103 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _close_and_check(size: int, pairs) -> list[int]:
-    """Reflexive-transitive closure of the given pairs; rejects cycles."""
-    up = [1 << i for i in range(size)]
+def _close_and_check(size: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Up and down rows of the reflexive-transitive closure of the pairs; rejects cycles.
+
+    Kahn's pass lists the elements so that every pair points forward; it
+    reaches every element exactly when the pairs have no cycle.  Then each
+    up row is its own bit joined with the up rows of its direct successors,
+    visited in reverse, and each down row its own bit joined with the down
+    rows of its direct predecessors: one OR per pair and per row set.
+    """
+    succ = [[] for _ in range(size)]
+    preds = [0] * size
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise NotAPartialOrder(f"pair ({i}, {j}) out of range for size {size}")
-        up[i] |= 1 << j
+        if i != j:
+            succ[i].append(j)
+            preds[j] += 1
+    order = [i for i in range(size) if not preds[i]]
+    for i in order:  # the list grows while it is read
+        for j in succ[i]:
+            preds[j] -= 1
+            if not preds[j]:
+                order.append(j)
+    if len(order) < size:
+        raise NotAPartialOrder("antisymmetry fails on {} and {}".format(*_cycle_pair(succ)))
+    up = [1 << i for i in range(size)]
+    down = up[:]
+    for i in reversed(order):
+        row = up[i]
+        for j in succ[i]:
+            row |= up[j]
+        up[i] = row
+    for i in order:
+        row = down[i]
+        for j in succ[i]:
+            down[j] |= row
+    return tuple(up), tuple(down)
+
+
+def _cycle_pair(succ) -> tuple[int, int]:
+    """Two elements on a cycle of the pairs, given as successor lists with a cycle.
+
+    Warshall's closure, then the first closed row equal to an earlier one: in
+    a closed order, i <= j <= i holds exactly when rows i and j are equal.
+    """
+    size = len(succ)
+    up = [1 << i for i in range(size)]
+    for i, js in enumerate(succ):
+        for j in js:
+            up[i] |= 1 << j
     for k in range(size):
         bit = 1 << k
         for i in range(size):
             if up[i] & bit:
                 up[i] |= up[k]
-    # In a closed order, i <= j <= i holds exactly when rows i and j are equal.
     first = {}
     for i, row in enumerate(up):
         earlier = first.setdefault(row, i)
         if earlier != i:
-            raise NotAPartialOrder(f"antisymmetry fails on {earlier} and {i}")
-    return up
+            return earlier, i
 
 
-def _transpose(up) -> tuple[int, ...]:
-    # The down rows of the order with up rows ``up``, or the other way round.
-    down = [0] * len(up)
-    for i, row in enumerate(up):
-        for j in _bits(row):
-            down[j] |= 1 << i
-    return tuple(down)
+def _covers(up) -> list[tuple[int, int]]:
+    """The covering pairs of the order with up rows ``up`` (FinitePoset.covers).
+
+    In a linear extension (every up row starts at its own bit) the lowest
+    element m left in x's strict up row is a cover: anything between x
+    and m would come before m.  Clearing m's up row and repeating takes
+    one step per cover.  In the reversed numbering (every up row ends at
+    its own bit: duals, the divisor poset) the highest element is the
+    cover, by the same argument.  Any other numbering takes one step per
+    comparable pair.
+    """
+    out = []
+    if all(row & -row == 1 << x for x, row in enumerate(up)):
+        for x, row in enumerate(up):
+            strict = row ^ 1 << x
+            while strict:
+                m = (strict & -strict).bit_length() - 1
+                out.append((x, m))
+                strict &= ~up[m]
+    elif all(row.bit_length() == x + 1 for x, row in enumerate(up)):
+        for x, row in enumerate(up):
+            strict, found = row ^ 1 << x, []
+            while strict:
+                m = strict.bit_length() - 1
+                found.append((x, m))
+                strict &= ~up[m]
+            out += reversed(found)
+    else:
+        for x, row in enumerate(up):
+            strict = row ^ 1 << x
+            beyond = 0
+            for z in _bits(strict):
+                beyond |= up[z] ^ 1 << z
+            out.extend((x, y) for y in _bits(strict & ~beyond))
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,14 +190,7 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between, ascending."""
-        out = []
-        for x, row in enumerate(self.up):
-            strict = row & ~(1 << x)
-            beyond = 0
-            for z in _bits(strict):
-                beyond |= self.up[z] & ~(1 << z)
-            out.extend((x, y) for y in _bits(strict & ~beyond))
-        return out
+        return _covers(self.up)
 
     def dual(self) -> "FinitePoset":
         return FinitePoset(self.size, self.down, self.up)
@@ -135,8 +203,7 @@ class FinitePoset:
 def build_poset(size: int, pairs) -> FinitePoset:
     if size < 1:
         raise NotAPartialOrder("poset must be non-empty")
-    up = tuple(_close_and_check(size, pairs))
-    return FinitePoset(size, up, _transpose(up))
+    return FinitePoset(size, *_close_and_check(size, pairs))
 
 
 @dataclass(frozen=True)
@@ -190,18 +257,20 @@ def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     """lattice_from_up on the closure of the pairs; NotAPartialOrder on cycles."""
     if size < 1:
         raise Unbounded("a lattice needs at least one element")
-    return lattice_from_up(tuple(_close_and_check(size, leq_pairs)))
+    return lattice_from_up(*_close_and_check(size, leq_pairs))
 
 
-def lattice_from_up(up: tuple[int, ...]) -> FiniteLattice:
+def lattice_from_up(up: tuple[int, ...], down: tuple[int, ...] | None = None) -> FiniteLattice:
     """The bounded lattice on a partial order given by its up rows.
 
-    Raises Unbounded when a global least or greatest element is missing, and
+    The down rows are closed from the covers when not given.  Raises
+    Unbounded when a global least or greatest element is missing, and
     MeetOrJoinMissing when some pair has no unique greatest lower or least
     upper bound.
     """
     size = len(up)
-    down = _transpose(up)
+    if down is None:
+        down = _close_and_check(size, _covers(up))[1]
     meet = _bound_table(down)
     join = _bound_table(up)
     full = (1 << size) - 1
@@ -311,6 +380,22 @@ def star_action(action: PosetAction) -> PosetAction:
     return PosetAction(action.lattice, action.poset, _top_rows(action, False))
 
 
+@memo
+def _cover_lists(action: PosetAction) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The upper and the lower covers of each lattice element, and its down row's size.
+
+    The sizes rise strictly along every chain, so sorting by them lists any
+    set of elements in a linear extension.
+    """
+    lat = action.lattice
+    upper = [[] for _ in range(lat.size)]
+    lower = [[] for _ in range(lat.size)]
+    for x, y in lat.covers():
+        upper[x].append(y)
+        lower[y].append(x)
+    return upper, lower, [row.bit_count() for row in lat.down]
+
+
 def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, PosetAction]:
     """The interval [low, high] as a lattice, with the action s.y -> (s.y) join low.
 
@@ -323,6 +408,12 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     gathers its entries at the members in one ``itemgetter`` call and maps
     each through y -> y join low, renumbered, which is the renumbering on
     the interval itself.
+
+    The order rows are built from the lattice's covers: every chain between
+    two members runs inside the interval, so a member's up row is its own
+    bit joined with the up rows of its upper covers in the interval, taken
+    from the top of a linear extension down, and dually for the down rows.
+    That is one step per cover in the interval.
     """
     lat = action.lattice
     elems = list(_bits(lat.up[low] & lat.down[high]))
@@ -336,15 +427,22 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(map(renumber, pick(row))) for row in rows)
 
-    # A bitmask row restricted to the interval is its digits at the members,
-    # read from the binary string of the row, highest identifier first.
-    width = f"0{lat.size}b"
-    digits = itemgetter(*[lat.size - 1 - y for y in reversed(elems)])
+    upper, lower, height = _cover_lists(action)
+    size = len(elems)
+    order = sorted(range(size), key=list(map(height.__getitem__, elems)).__getitem__)
 
-    def restrict(rows) -> tuple[int, ...]:
-        return tuple(int("".join(digits(format(row, width))), 2) for row in pick(rows))
+    def close(members, covers) -> tuple[int, ...]:
+        # A cover outside the interval has index -1, which reads the extra
+        # last slot: it stays 0 and adds nothing.
+        rows = [0] * (size + 1)
+        for i in members:
+            row = 1 << i
+            for z in covers[elems[i]]:
+                row |= rows[index[z]]
+            rows[i] = row
+        return tuple(rows[:size])
 
-    sub = FiniteLattice(len(elems), restrict(lat.up), restrict(lat.down),
+    sub = FiniteLattice(size, close(reversed(order), upper), close(order, lower),
                         index[low], index[high],
                         restrict_table(pick(lat.meet_table)),
                         restrict_table(pick(lat.join_table)))

@@ -33,6 +33,13 @@ instance before the package read table rows, and the class-based quotient
 and the rebuilt lower interval that the package replaced by restrictions of
 the lattice to an interval.
 
+The order references are the definitions the lattice layer's kernels must
+meet in any numbering: the closure of a set of pairs is what a search from
+each element reaches, a closed order has a cycle exactly when two of its
+rows are equal (the first such row is the one the package names), and a
+cover is a pair x < y with nothing strictly between, listed in ascending
+order.
+
 The random action reference is the generator loop the package ran before it
 read each lower bound off a row: it marks the entries assigned so far and
 scans the poset order for the elements below s.
@@ -459,3 +466,35 @@ def random_action_reference(rng, lattice, poset, star_shaped=False):
             table[s][x] = rng.choice(choices)
             assigned[s][x] = True
     return make_action(lattice, poset, table)
+
+
+def closure_reference(size, pairs):
+    """Up rows of the reflexive-transitive closure: what a search from each element reaches."""
+    succ = [set() for _ in range(size)]
+    for i, j in pairs:
+        succ[i].add(j)
+    rows = []
+    for i in range(size):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succ[stack.pop()] - seen:
+                seen.add(j)
+                stack.append(j)
+        rows.append(sum(1 << j for j in seen))
+    return rows
+
+
+def cycle_message_reference(rows):
+    """The antisymmetry error for closed rows, or None: the first row equal to an earlier one."""
+    for i, row in enumerate(rows):
+        if row in rows[:i]:
+            return f"antisymmetry fails on {rows.index(row)} and {i}"
+    return None
+
+
+def covers_reference(order):
+    """(x, y) with x < y and no z strictly between, ascending, from le alone."""
+    elems = order.elements()
+    return [(x, y) for x in elems for y in elems
+            if x != y and order.le(x, y)
+            and not any(order.le(x, z) and order.le(z, y) for z in elems if z not in (x, y))]

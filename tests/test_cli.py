@@ -344,6 +344,42 @@ class TestParserMessages:
         assert main(["spectra", "--in", spec]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text,message", [
+        (CHAIN_SPEC + "act 0 1 1 1\n", "line 6: expected 3 integers, got 4"),
+        (CHAIN_SPEC.replace("poset 1", "poset 1\nsleq 0"), "line 4: expected 2 integers, got 1"),
+        (CHAIN_SPEC.replace("leq 0 1", "leq 0 x 1"), "line 2: expected integers, got 0 x 1"),
+        (CHAIN_SPEC.replace("act 0 1 1", "act 0 1 1  # s.1 = 1"), None),
+        (CHAIN_SPEC.replace("\n", "\r\n"), None),
+        (CHAIN_SPEC.replace("\n", "\r\n") + "acts 0 0 0\r\n",
+         "line 6: unknown directive 'acts' in lattice spec"),
+        (CHAIN_SPEC.replace(" ", "\t"), None),
+    ], ids=["act-four-words", "sleq-one-word", "leq-non-integer", "act-comment", "crlf",
+            "crlf-line-number", "tabs"])
+    def test_order_and_act_line_forms(self, tmp_path, capsys, text, message):
+        # Each form of a leq/sleq/act line, with None for a spec that parses:
+        # its output is then the plain chain spec's.
+        assert main(["spectra", "--in", write(tmp_path, "plain.spec", CHAIN_SPEC)]) == 0
+        plain = capsys.readouterr().out
+        spec = tmp_path / "s.spec"
+        spec.write_bytes(text.encode("utf-8"))
+        if message is None:
+            assert main(["spectra", "--in", str(spec)]) == 0
+            assert capsys.readouterr() == (plain, "")
+        else:
+            assert main(["spectra", "--in", str(spec)]) == 3
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_comment_runs_to_the_newline(self, tmp_path, capsys, separator):
+        # Only "\n" ends a line, so a form feed or another separator inside a
+        # comment is part of the comment, and line numbers match grep -n.
+        text = CHAIN_SPEC.replace("lattice 2", f"lattice 2 # a{separator}b")
+        assert main(["spectra", "--in", write(tmp_path, "s.spec", text)]) == 0
+        capsys.readouterr()
+        assert main(["spectra", "--in", write(tmp_path, "t.spec", text + "acts 0 0 0\n")]) == 3
+        assert capsys.readouterr().err == "error: line 6: unknown directive 'acts' in lattice spec\n"
+
 
 class TestReports:
     def test_machine_report_deterministic(self, tmp_path, capsys):

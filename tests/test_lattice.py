@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import oracles
@@ -18,6 +19,7 @@ from hollowlat.lattice import (
     dual_action,
     is_join_distributive,
     is_multiplication,
+    lattice_from_up,
     lower_interval,
     make_action,
     memo,
@@ -313,6 +315,82 @@ class TestAgainstReferences:
             derived += [sub_act, low[1]]
         for d in derived:
             assert make_action(d.lattice, d.poset, d.table) == d
+
+
+def renumbered(action, perm):
+    """The same action with lattice element x renamed perm[x]; any numbering of the order."""
+    lat = action.lattice
+    size = lat.size
+    sub = build_lattice(size, [(perm[x], perm[y]) for x, y in lat.pairs()])
+    table = [[0] * size for _ in action.table]
+    for s, row in enumerate(action.table):
+        for x, y in enumerate(row):
+            table[s][perm[x]] = perm[y]
+    return make_action(sub, action.poset, table)
+
+
+def shuffled(seed, size):
+    perm = list(range(size))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+class TestOrderKernels:
+    """Closure, covers and interval rows against the definitions in tests/oracles.py.
+
+    The kernels have fast paths for linear-extension numberings and for the
+    reversed ones (duals, the divisor poset), so every check also runs under
+    a random renumbering.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), seeds, st.floats(0.0, 0.6))
+    def test_closure_and_covers_in_any_numbering(self, size, seed, density):
+        rng = random.Random(seed)
+        perm = shuffled(seed, size)
+        pairs = [(perm[i], perm[j]) for i in range(size) for j in range(i + 1, size)
+                 if rng.random() < density]
+        poset = build_poset(size, pairs)
+        assert list(poset.up) == oracles.closure_reference(size, pairs)
+        assert poset.dual().up == poset.down
+        assert list(poset.down) == oracles.closure_reference(size, [(j, i) for i, j in pairs])
+        for order in (poset, poset.dual()):
+            assert order.covers() == oracles.covers_reference(order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=2, max_value=8), seeds)
+    def test_cycles_name_the_first_repeated_row(self, size, seed):
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 2 * size))]
+        message = oracles.cycle_message_reference(oracles.closure_reference(size, pairs))
+        if message is None:
+            assert list(build_poset(size, pairs).up) == oracles.closure_reference(size, pairs)
+            return
+        for build in (build_poset, build_lattice):
+            with pytest.raises(NotAPartialOrder) as err:
+                build(size, pairs)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lattice_rows_covers_and_intervals_in_any_numbering(self, seed):
+        act = random_instance(seed, 12, 4)
+        for a in (act, renumbered(act, shuffled(seed, act.lattice.size)), dual_action(act)):
+            lat = a.lattice
+            assert lattice_from_up(lat.up) == lat
+            assert lat.covers() == oracles.covers_reference(lat)
+            for x in lat.elements():
+                assert lower_interval(a, x) == oracles.lower_interval_reference(a, x), x
+                ref_sub, ref_act, _ = oracles.quotient_reference(a, x)
+                assert quotient(a, x) == (ref_sub, ref_act), x
+
+    @pytest.mark.parametrize("ring,factors", oracles.REFERENCE_MODULES)
+    def test_bridge_orders(self, ring, factors):
+        # The divisor poset is numbered against its order: (dp) lies in (d).
+        act = submodule_lattice(FiniteModule(Ring(ring), factors))[1]
+        for order in (act.poset, act.lattice):
+            for o in (order, order.dual()):
+                assert o.covers() == oracles.covers_reference(o)
+            assert list(order.up) == oracles.closure_reference(order.size, order.covers())
 
 
 class TestDistributivityAgainstReferences:
