@@ -69,7 +69,8 @@ COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verif
 LATTICE_SIZE_LIMIT = 256
 # Largest poset a lattice spec may declare.  It admits the 2304 divisors of
 # 6983776800, so every spec emitted from an admitted module spec parses.  With
-# one lattice element, spectra at this size takes 0.2 s, on a chain or an antichain.
+# one lattice element, spectra at this size takes 0.2 s, on a chain in any
+# numbering or on an antichain.
 POSET_SIZE_LIMIT = 4096
 # Largest ring modulus a module spec may declare.  The ideals of Z/nZ are the
 # poset of every module action, and verify's work grows with the square of
@@ -231,7 +232,7 @@ def emit_dot(lattice: FiniteLattice, labels, highlights=None) -> str:
             attrs.append("style=filled")
             attrs.append('fillcolor="lightblue"')
         lines.append(f"  n{i} [{', '.join(attrs)}];")
-    for x, y in sorted(lattice.covers()):
+    for x, y in lattice.covers():
         lines.append(f"  n{x} -> n{y};")
     lines.append("}")
     return "\n".join(lines) + "\n"

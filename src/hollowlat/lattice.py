@@ -10,21 +10,23 @@ build their tables directly; the tests check them against make_action.
 
 Order relations are stored as bitmask rows, one int per element, which keeps
 every predicate a couple of machine ops at desk scale.  There is one
-representation of an order: every poset keeps both its up and its down rows,
-so its dual swaps them, and every lattice, whatever its size, also keeps its
-meet and join tables, so its dual swaps those too.
+representation of an order: every poset keeps its up and down rows and the
+upper covers of each element, so its dual swaps the rows and takes the lower
+covers, derived once when first asked for; every lattice, whatever its
+size, also keeps its meet and join tables, so its dual swaps those too.
 
 The order kernels take one step per given pair or per cover, not one per
-comparable pair: the closure ORs rows along Kahn's topological order, the
-covers are read off the lowest (or highest) set bits of the up rows in a
-linear-extension (or reversed) numbering, and an interval's rows are closed
-from the lattice's covers inside it.
+comparable pair, in any numbering of the elements: the pass that closes an
+order along Kahn's topological order also reduces the given pairs to the
+covers, and an interval takes its covers from the lattice's and closes its
+rows along them.  build_lattice is the one lattice constructor outside the
+derived constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property, wraps
 from operator import itemgetter
 
 
@@ -72,14 +74,18 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _close_and_check(size: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Up and down rows of the reflexive-transitive closure of the pairs; rejects cycles.
+def _close_and_check(size: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...],
+                                                tuple[tuple[int, ...], ...]]:
+    """Up rows, down rows and upper covers of the order the pairs generate; rejects cycles.
 
     Kahn's pass lists the elements so that every pair points forward; it
     reaches every element exactly when the pairs have no cycle.  Then each
     up row is its own bit joined with the up rows of its direct successors,
     visited in reverse, and each down row its own bit joined with the down
-    rows of its direct predecessors: one OR per pair and per row set.
+    rows of its direct predecessors: one OR per pair and per row set.  The
+    upper covers of i are its direct successors outside every direct
+    successor's strict up row (the transitive reduction): one more OR per
+    pair, in any numbering, and read off a mask, so they come out ascending.
     """
     succ = [[] for _ in range(size)]
     preds = [0] * size
@@ -96,79 +102,53 @@ def _close_and_check(size: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]
             if not preds[j]:
                 order.append(j)
     if len(order) < size:
-        raise NotAPartialOrder("antisymmetry fails on {} and {}".format(*_cycle_pair(succ)))
+        # The elements left with a predecessor are the ones Kahn's pass missed.
+        rest = [i for i in range(size) if preds[i]]
+        raise NotAPartialOrder("antisymmetry fails on {} and {}".format(*_cycle_pair(succ, rest)))
     up = [1 << i for i in range(size)]
     down = up[:]
+    upper = [()] * size
     for i in reversed(order):
-        row = up[i]
+        row = own = up[i]
+        beyond = 0
         for j in succ[i]:
             row |= up[j]
+            beyond |= up[j] ^ 1 << j
         up[i] = row
+        # row less its own bit is the direct successors and what lies beyond.
+        upper[i] = tuple(_bits(row & ~beyond ^ own))
     for i in order:
         row = down[i]
         for j in succ[i]:
             down[j] |= row
-    return tuple(up), tuple(down)
+    return tuple(up), tuple(down), tuple(upper)
 
 
-def _cycle_pair(succ) -> tuple[int, int]:
-    """Two elements on a cycle of the pairs, given as successor lists with a cycle.
+def _cycle_pair(succ, rest) -> tuple[int, int]:
+    """Two elements on a cycle of the pairs, given as successor lists.
 
-    Warshall's closure, then the first closed row equal to an earlier one: in
-    a closed order, i <= j <= i holds exactly when rows i and j are equal.
+    ``rest`` lists, ascending, the elements Kahn's pass left unplaced: they
+    hold every cycle, and every successor of one of them is one of them, so
+    their closed rows are the rows of the whole order.  Warshall's closure
+    over them, then the first closed row equal to an earlier one: in a
+    closed order, i <= j <= i holds exactly when rows i and j are equal.
     """
-    size = len(succ)
-    up = [1 << i for i in range(size)]
-    for i, js in enumerate(succ):
-        for j in js:
-            up[i] |= 1 << j
-    for k in range(size):
+    up = {}
+    for i in rest:
+        row = 1 << i
+        for j in succ[i]:
+            row |= 1 << j
+        up[i] = row
+    for k in rest:
         bit = 1 << k
-        for i in range(size):
+        for i in rest:
             if up[i] & bit:
                 up[i] |= up[k]
     first = {}
-    for i, row in enumerate(up):
-        earlier = first.setdefault(row, i)
+    for i in rest:
+        earlier = first.setdefault(up[i], i)
         if earlier != i:
             return earlier, i
-
-
-def _covers(up) -> list[tuple[int, int]]:
-    """The covering pairs of the order with up rows ``up`` (FinitePoset.covers).
-
-    In a linear extension (every up row starts at its own bit) the lowest
-    element m left in x's strict up row is a cover: anything between x
-    and m would come before m.  Clearing m's up row and repeating takes
-    one step per cover.  In the reversed numbering (every up row ends at
-    its own bit: duals, the divisor poset) the highest element is the
-    cover, by the same argument.  Any other numbering takes one step per
-    comparable pair.
-    """
-    out = []
-    if all(row & -row == 1 << x for x, row in enumerate(up)):
-        for x, row in enumerate(up):
-            strict = row ^ 1 << x
-            while strict:
-                m = (strict & -strict).bit_length() - 1
-                out.append((x, m))
-                strict &= ~up[m]
-    elif all(row.bit_length() == x + 1 for x, row in enumerate(up)):
-        for x, row in enumerate(up):
-            strict, found = row ^ 1 << x, []
-            while strict:
-                m = strict.bit_length() - 1
-                found.append((x, m))
-                strict &= ~up[m]
-            out += reversed(found)
-    else:
-        for x, row in enumerate(up):
-            strict = row ^ 1 << x
-            beyond = 0
-            for z in _bits(strict):
-                beyond |= up[z] ^ 1 << z
-            out.extend((x, y) for y in _bits(strict & ~beyond))
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,6 +158,7 @@ class FinitePoset:
     size: int
     up: tuple[int, ...] = field(repr=False)  # up[i] = bitmask of {j : i <= j}
     down: tuple[int, ...] = field(repr=False)  # down[i] = bitmask of {j : j <= i}
+    upper: tuple[tuple[int, ...], ...] = field(repr=False)  # the covers of i, ascending
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -190,10 +171,19 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs (x, y): x < y with nothing strictly between, ascending."""
-        return _covers(self.up)
+        return [(x, y) for x, ys in enumerate(self.upper) for y in ys]
+
+    @cached_property
+    def lower(self) -> tuple[tuple[int, ...], ...]:
+        """The elements each element covers, ascending; derived once, when asked."""
+        lower = [[] for _ in range(self.size)]
+        for x, ys in enumerate(self.upper):
+            for y in ys:
+                lower[y].append(x)
+        return tuple(map(tuple, lower))
 
     def dual(self) -> "FinitePoset":
-        return FinitePoset(self.size, self.down, self.up)
+        return FinitePoset(self.size, self.down, self.up, self.lower)
 
     def linear_extension(self) -> list[int]:
         """Elements ordered so that comparabilities point forward."""
@@ -230,6 +220,7 @@ class FiniteLattice(FinitePoset):
             size=self.size,
             up=self.down,
             down=self.up,
+            upper=self.lower,
             bottom=self.top,
             top=self.bottom,
             meet_table=self.join_table,
@@ -254,23 +245,15 @@ def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def build_lattice(size: int, leq_pairs) -> FiniteLattice:
-    """lattice_from_up on the closure of the pairs; NotAPartialOrder on cycles."""
+    """The bounded lattice on the order the pairs generate.
+
+    Raises NotAPartialOrder on a cycle, Unbounded when a global least or
+    greatest element is missing, and MeetOrJoinMissing when some pair has
+    no unique greatest lower or least upper bound.
+    """
     if size < 1:
         raise Unbounded("a lattice needs at least one element")
-    return lattice_from_up(*_close_and_check(size, leq_pairs))
-
-
-def lattice_from_up(up: tuple[int, ...], down: tuple[int, ...] | None = None) -> FiniteLattice:
-    """The bounded lattice on a partial order given by its up rows.
-
-    The down rows are closed from the covers when not given.  Raises
-    Unbounded when a global least or greatest element is missing, and
-    MeetOrJoinMissing when some pair has no unique greatest lower or least
-    upper bound.
-    """
-    size = len(up)
-    if down is None:
-        down = _close_and_check(size, _covers(up))[1]
+    up, down, upper = _close_and_check(size, leq_pairs)
     meet = _bound_table(down)
     join = _bound_table(up)
     full = (1 << size) - 1
@@ -281,7 +264,7 @@ def lattice_from_up(up: tuple[int, ...], down: tuple[int, ...] | None = None) ->
     # A finite partial order in which every pair has a unique meet and join
     # is a lattice, so the lattice laws need no check here; the tests check
     # them on random and submodule lattices.
-    return FiniteLattice(size, up, down, bottoms[0], tops[0], meet, join)
+    return FiniteLattice(size, up, down, upper, bottoms[0], tops[0], meet, join)
 
 
 def chain(size: int) -> FiniteLattice:
@@ -380,22 +363,6 @@ def star_action(action: PosetAction) -> PosetAction:
     return PosetAction(action.lattice, action.poset, _top_rows(action, False))
 
 
-@memo
-def _cover_lists(action: PosetAction) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """The upper and the lower covers of each lattice element, and its down row's size.
-
-    The sizes rise strictly along every chain, so sorting by them lists any
-    set of elements in a linear extension.
-    """
-    lat = action.lattice
-    upper = [[] for _ in range(lat.size)]
-    lower = [[] for _ in range(lat.size)]
-    for x, y in lat.covers():
-        upper[x].append(y)
-        lower[y].append(x)
-    return upper, lower, [row.bit_count() for row in lat.down]
-
-
 def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, PosetAction]:
     """The interval [low, high] as a lattice, with the action s.y -> (s.y) join low.
 
@@ -409,11 +376,13 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     each through y -> y join low, renumbered, which is the renumbering on
     the interval itself.
 
-    The order rows are built from the lattice's covers: every chain between
-    two members runs inside the interval, so a member's up row is its own
-    bit joined with the up rows of its upper covers in the interval, taken
-    from the top of a linear extension down, and dually for the down rows.
-    That is one step per cover in the interval.
+    The order rows are built from the lattice's covers.  An interval holds
+    every element between two of its members, so a member's upper covers
+    in the interval are its upper covers in the lattice that lie in it, in
+    the same ascending order.  Its up row is its own bit joined with the up
+    rows of those covers, taken from the top of a linear extension down, and
+    each down row is pushed up along the same covers from the bottom: one
+    step per cover in the interval.
     """
     lat = action.lattice
     elems = list(_bits(lat.up[low] & lat.down[high]))
@@ -427,23 +396,25 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(map(renumber, pick(row))) for row in rows)
 
-    upper, lower, height = _cover_lists(action)
     size = len(elems)
-    order = sorted(range(size), key=list(map(height.__getitem__, elems)).__getitem__)
-
-    def close(members, covers) -> tuple[int, ...]:
-        # A cover outside the interval has index -1, which reads the extra
-        # last slot: it stays 0 and adds nothing.
-        rows = [0] * (size + 1)
-        for i in members:
-            row = 1 << i
-            for z in covers[elems[i]]:
-                row |= rows[index[z]]
-            rows[i] = row
-        return tuple(rows[:size])
-
-    sub = FiniteLattice(size, close(reversed(order), upper), close(order, lower),
-                        index[low], index[high],
+    # Down rows grow strictly along every chain, so sorting by their sizes
+    # lists the members in a linear extension.
+    order = sorted(range(size), key=list(map(int.bit_count, pick(lat.down))).__getitem__)
+    up, upper = [0] * size, [()] * size
+    for i in reversed(order):
+        row, covers = 1 << i, []
+        for z in lat.upper[elems[i]]:
+            k = index[z]
+            if k >= 0:  # z <= high
+                covers.append(k)
+                row |= up[k]
+        up[i], upper[i] = row, tuple(covers)
+    down = [1 << i for i in range(size)]
+    for i in order:
+        row = down[i]
+        for k in upper[i]:
+            down[k] |= row
+    sub = FiniteLattice(size, tuple(up), tuple(down), tuple(upper), index[low], index[high],
                         restrict_table(pick(lat.meet_table)),
                         restrict_table(pick(lat.join_table)))
     return sub, PosetAction(sub, action.poset, restrict_table(action.table))

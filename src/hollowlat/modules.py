@@ -38,9 +38,9 @@ from .lattice import (
     FiniteLattice,
     PosetAction,
     _bits,
+    build_lattice,
     build_poset,
     is_multiplication,
-    lattice_from_up,
     make_action,
     memo,
 )
@@ -769,13 +769,15 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     reads it.
 
     Both are read off the containment masks.  L holds N exactly when it
-    holds N's generators, so N's up row is the AND of their masks and needs
-    no closure.  For each prime p dividing n the row of p maps N to pN, the
-    least submodule holding p times each generator of N.  Every ideal (d) of
-    Z/nZ is a product of prime ideals, and (d)N = p((d/p)N) for a prime p
-    dividing d, so the row of d is the row of d/p followed by the row of p;
-    divisors ascend, so the row of d/p is ready first.  make_action still
-    checks the three axioms on the result.
+    holds N's generators, so N's up row is the AND of their masks.  Canonical
+    order extends inclusion, so the lowest submodule left in N's strict up
+    row covers N; clearing its up row and repeating lists N's covers, which
+    build_lattice takes like any other order.  For each prime p dividing n
+    the row of p maps N to pN, the least submodule holding p times each
+    generator of N.  Every ideal (d) of Z/nZ is a product of prime ideals,
+    and (d)N = p((d/p)N) for a prime p dividing d, so the row of d is the
+    row of d/p followed by the row of p; divisors ascend, so the row of d/p
+    is ready first.  make_action still checks the three axioms on the result.
     """
     return _bridge(module)[1:]
 
@@ -785,7 +787,15 @@ def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
     """The module's submodules, lattice and action (submodule_lattice)."""
     subs = enumerate_submodules(module)
     containing = _enumeration(module)[1]
-    lat = lattice_from_up(tuple(_holding(containing, s.generators) for s in subs))
+    up = [_holding(containing, s.generators) for s in subs]
+    covers = []
+    for x, row in enumerate(up):
+        strict = row ^ 1 << x
+        while strict:
+            m = (strict & -strict).bit_length() - 1
+            covers.append((x, m))
+            strict &= ~up[m]
+    lat = build_lattice(len(subs), covers)
     n, divs, primes = module.ring.n, module.ring.divisors, module.ring.primes
     # (dp) lies in (d); these covers generate the divisibility order.
     slot = {d: j for j, d in enumerate(divs)}

@@ -1,5 +1,6 @@
 import random
 
+import oracles
 import pytest
 
 from hollowlat import cli
@@ -134,6 +135,24 @@ class TestDot:
         assert 'n1 [label="(6)", tooltip="second"' in out
         assert 'n2 [label="(4)", tooltip="second"' in out
         assert 'n3 [label="(3)"];' in out
+
+
+    def test_hasse_edges_are_the_covers_in_any_numbering(self, tmp_path, capsys):
+        # The Boolean lattice on three atoms, subset a numbered perm[a]: the
+        # bottom gets 5 and the top 4, so the numbering runs neither along
+        # nor against the order.  Every comparable pair is given, not only
+        # the covers.
+        perm = [5, 2, 7, 0, 3, 6, 1, 4]
+        lines = ["lattice 8"]
+        lines += [f"leq {perm[a]} {perm[b]}" for a in range(8) for b in range(8)
+                  if a != b and a & b == a]
+        lines += ["poset 1"] + [f"act 0 {x} {x}" for x in range(8)]
+        spec = write(tmp_path, "l.spec", "\n".join(lines) + "\n")
+        lat, _ = parse_spec(spec)
+        assert main(["hasse", "--in", spec]) == 0
+        edges = [line for line in capsys.readouterr().out.splitlines() if "->" in line]
+        assert edges == [f"  n{x} -> n{y};" for x, y in oracles.covers_reference(lat)]
+        assert len(edges) == 12
 
 
 class TestExitCodes:
@@ -416,10 +435,10 @@ class TestReports:
     def test_submodules_command_builds_no_lattice(self, tmp_path, capsys, monkeypatch):
         import hollowlat.modules
 
-        def refuse(up):
+        def refuse(size, pairs):
             raise AssertionError("the submodules command built the submodule lattice")
 
-        monkeypatch.setattr(hollowlat.modules, "lattice_from_up", refuse)
+        monkeypatch.setattr(hollowlat.modules, "build_lattice", refuse)
         spec = write(tmp_path, "m.spec", Z12)
         assert main(["submodules", "--in", spec]) == 0
 

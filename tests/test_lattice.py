@@ -19,7 +19,6 @@ from hollowlat.lattice import (
     dual_action,
     is_join_distributive,
     is_multiplication,
-    lattice_from_up,
     lower_interval,
     make_action,
     memo,
@@ -338,9 +337,10 @@ def shuffled(seed, size):
 class TestOrderKernels:
     """Closure, covers and interval rows against the definitions in tests/oracles.py.
 
-    The kernels have fast paths for linear-extension numberings and for the
-    reversed ones (duals, the divisor poset), so every check also runs under
-    a random renumbering.
+    The covers come out of the pass that closes the order, whatever the
+    numbering, and an interval takes its covers from the lattice's; every
+    check runs under a random renumbering, on duals and on the bridge's
+    orders, whose divisor poset is numbered against its order.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -364,7 +364,10 @@ class TestOrderKernels:
         pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 2 * size))]
         message = oracles.cycle_message_reference(oracles.closure_reference(size, pairs))
         if message is None:
-            assert list(build_poset(size, pairs).up) == oracles.closure_reference(size, pairs)
+            poset = build_poset(size, pairs)
+            assert list(poset.up) == oracles.closure_reference(size, pairs)
+            assert list(poset.down) == oracles.closure_reference(size, [(j, i) for i, j in pairs])
+            assert poset.covers() == oracles.covers_reference(poset)
             return
         for build in (build_poset, build_lattice):
             with pytest.raises(NotAPartialOrder) as err:
@@ -376,12 +379,26 @@ class TestOrderKernels:
         act = random_instance(seed, 12, 4)
         for a in (act, renumbered(act, shuffled(seed, act.lattice.size)), dual_action(act)):
             lat = a.lattice
-            assert lattice_from_up(lat.up) == lat
             assert lat.covers() == oracles.covers_reference(lat)
+            assert lat.dual().covers() == oracles.covers_reference(lat.dual())
             for x in lat.elements():
                 assert lower_interval(a, x) == oracles.lower_interval_reference(a, x), x
                 ref_sub, ref_act, _ = oracles.quotient_reference(a, x)
                 assert quotient(a, x) == (ref_sub, ref_act), x
+
+    @pytest.mark.parametrize("numbering", ["shuffled", "zigzag", "reversed"])
+    def test_long_chain_covers_in_any_numbering(self, numbering):
+        # Chain position k is element perm[k]; zigzag alternates low and high.
+        size = 4096
+        perm = {"shuffled": shuffled(0, size),
+                "zigzag": [k // 2 if k % 2 == 0 else size - 1 - k // 2 for k in range(size)],
+                "reversed": list(range(size))[::-1]}[numbering]
+        poset = build_poset(size, [(perm[k], perm[k + 1]) for k in range(size - 1)])
+        assert poset.covers() == sorted((perm[k], perm[k + 1]) for k in range(size - 1))
+        above = 0
+        for k in reversed(range(size)):
+            above |= 1 << perm[k]
+            assert poset.up[perm[k]] == above
 
     @pytest.mark.parametrize("ring,factors", oracles.REFERENCE_MODULES)
     def test_bridge_orders(self, ring, factors):
