@@ -315,15 +315,13 @@ def _parse_summand_token(module: FiniteModule, token: str):
     if not token:
         raise ValidationError("empty summand token")
     if token.startswith("(") and token.endswith(")") and len(module.factors) == 1:
-        gen = _summand_int(token, token[1:-1]) % module.factors[0]
-        return span(module, (gen,) if gen else ())
+        return span(module, [module.element([_summand_int(token, token[1:-1])])])
     gens = []
     for part in token.split("+"):
-        coords = tuple(_summand_int(token, c) for c in part.split(":"))
+        coords = [_summand_int(token, c) for c in part.split(":")]
         if len(coords) != len(module.factors):
             raise ValidationError(f"element {part!r} has wrong arity")
-        coords = tuple(c % d for c, d in zip(coords, module.factors))
-        gens.append(module._index[coords])
+        gens.append(module.element(coords))
     return span(module, gens)
 
 

@@ -127,28 +127,61 @@ def _close_and_check(size: int, pairs) -> tuple[tuple[int, ...], tuple[int, ...]
 def _cycle_pair(succ, rest) -> tuple[int, int]:
     """Two elements on a cycle of the pairs, given as successor lists.
 
-    ``rest`` lists, ascending, the elements Kahn's pass left unplaced: they
-    hold every cycle, and every successor of one of them is one of them, so
-    their closed rows are the rows of the whole order.  Warshall's closure
-    over them, then the first closed row equal to an earlier one: in a
-    closed order, i <= j <= i holds exactly when rows i and j are equal.
+    ``rest`` lists the elements Kahn's pass left unplaced: they hold every
+    cycle, and every successor of one of them is one of them.  In the closed
+    order i <= j <= i holds exactly when i and j lie in one strongly
+    connected component, so the first element equal in the order to an
+    earlier one is the second-least element of some component, the least
+    such.  The pair is that element and the least of its component.
+
+    Tarjan's pass finds the components in one step per pair.  It keeps its
+    own stack of successor iterators instead of recursing, since a long
+    chain is deeper than the recursion limit, and marks which elements are
+    on the component stack instead of searching it.
     """
-    up = {}
-    for i in rest:
-        row = 1 << i
-        for j in succ[i]:
-            row |= 1 << j
-        up[i] = row
-    for k in rest:
-        bit = 1 << k
-        for i in rest:
-            if up[i] & bit:
-                up[i] |= up[k]
-    first = {}
-    for i in rest:
-        earlier = first.setdefault(up[i], i)
-        if earlier != i:
-            return earlier, i
+    size = len(succ)
+    num, low = [-1] * size, [0] * size
+    stack, on_stack = [], [False] * size
+    best = (size, size)
+    count = 0
+    for root in rest:
+        if num[root] >= 0:
+            continue
+        num[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, successors = calls[-1]
+            for w in successors:
+                if num[w] < 0:
+                    num[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    calls.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and num[w] < low[v]:
+                    low[v] = num[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == num[v]:
+                    # v is the root of a component: pop it, keeping its two least.
+                    first = second = size
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        if w < first:
+                            first, second = w, first
+                        elif w < second:
+                            second = w
+                    if second < best[1]:
+                        best = (first, second)
+    return best
 
 
 @dataclass(frozen=True)

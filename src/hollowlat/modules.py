@@ -2,10 +2,12 @@
 
 A module is a direct sum of cyclic groups Z/d_iZ with every d_i dividing the
 ring modulus n, so scalars act as integer multiples and submodules coincide
-with subgroups.  Elements are numbered in mixed radix over the factors, so a
-map that acts on each coordinate on its own, such as scaling by r or
-translation by g, is built for the whole module at once from one column per
-factor (FiniteModule.scaling_map, translation_map).
+with subgroups.  Elements are numbered in mixed radix over the factors, and
+only FiniteModule knows the numbering: coordinates(i) gives the residues of
+element i and element(coords) the index of a residue tuple, and addition,
+scaling and element names go through the two.  Translation by g acts on each
+coordinate on its own, so its map over the whole module (translation_map) is
+built at once from one column per factor.
 
 The submodules are enumerated from the group structure: a module whose order
 has several prime divisors splits into its p-primary parts, whose submodule
@@ -15,14 +17,15 @@ closing under H + <g> one coset at a time through the translation map of g
 submodules that hold element x.  Canonical order sorts by order first, so it
 is a linear extension of inclusion, and the least submodule holding some
 elements is the lowest set bit of the AND of their masks.  Generators, spans
-and the lattice with the ideal action (submodule_lattice) are read off these
-masks.  Everything downstream is a query on that lattice: inclusion reads
+and the lattice (submodule_lattice) are read off these masks, and so is the
+ideal action: for a prime p, pN is the least submodule holding smul(p, g)
+for the generators g of N.  Everything downstream is a query on that lattice: inclusion reads
 its order rows, sums and intersections its join and meet tables, ideal
 products its action table, and the class predicates are lattice and
 spectrum queries.  A quotient M/K is the interval [K, M] of that lattice,
 so the lifting predicate reads smallness in upper intervals and builds no
 quotient.  The explicit coset structure (CosetModule, quotient_module) stays
-public for the tests to compare against; its maps come from add and smul
+public for the tests to compare against; its translation maps come from add
 element by element.  The brute-force definitions on member sets live in
 tests/oracles.py.
 """
@@ -31,8 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .lattice import (
     FiniteLattice,
@@ -156,7 +160,7 @@ class FiniteModule:
     """A finite Z/nZ-module given as a direct sum of cyclic groups.
 
     Elements are residue tuples, identified by their index in the lexicographic
-    enumeration; index 0 is the zero element.
+    enumeration (coordinates, element); index 0 is the zero element.
     """
 
     def __init__(self, ring: Ring, factors, bound: int = DEFAULT_ORDER_BOUND):
@@ -174,49 +178,46 @@ class FiniteModule:
         self.ring = ring
         self.factors = factors
         self.size = order
-        self.elements = tuple(itertools.product(*(range(d) for d in factors)))
-        self._index = {e: i for i, e in enumerate(self.elements)}
         # Place values of the mixed radix: an element's index is the sum of its
-        # coordinates times these.  _columns[i][x] is coordinate x of factor i
-        # times its place value.
+        # coordinates times these.
         self._place = tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
-        self._columns = tuple([x * w for x in range(d)] for d, w in zip(factors, self._place))
         self.cache: dict = {}  # the values memoized on the module (see lattice.memo)
 
     zero = 0
 
+    def coordinates(self, i: int) -> tuple[int, ...]:
+        """The residues of element i, one per factor."""
+        return tuple([i // w % d for d, w in zip(self.factors, self._place)])
+
+    def element(self, coords) -> int:
+        """The index of the element with these residues, each reduced mod its factor."""
+        i = 0
+        for c, d in zip(coords, self.factors):
+            i = i * d + c % d
+        return i
+
     def add(self, i: int, j: int) -> int:
-        a, b = self.elements[i], self.elements[j]
-        return self._index[tuple((x + y) % d for x, y, d in zip(a, b, self.factors))]
+        return self.element(map(operator.add, self.coordinates(i), self.coordinates(j)))
 
     def smul(self, r: int, i: int) -> int:
-        a = self.elements[i]
-        return self._index[tuple((r * x) % d for x, d in zip(a, self.factors))]
+        return self.element([r * x for x in self.coordinates(i)])
 
-    def _coordinatewise(self, columns) -> list[int]:
-        # The sum over the factors i of columns[i][x_i], for every element x in
-        # index order: the columns' product in lexicographic order runs through
-        # the elements in that order.  The columns are fresh lists, and a
-        # single one is returned as it is.
+    def translation_map(self, g: int) -> list[int]:
+        """add(x, g) for every element x, in one pass."""
+        # A factor's column lists (x + a) mod d times its place value w for
+        # x = 0, 1, ..., d - 1: the multiples of w rotated by a.  Their sums,
+        # in lexicographic order, list the images in index order.
+        columns = [[*range(a * w, d * w, w), *range(0, a * w, w)]
+                   for a, d, w in zip(self.coordinates(g), self.factors, self._place)]
         if len(columns) == 1:
             return columns[0]
         return list(map(sum, itertools.product(*columns)))
 
-    def scaling_map(self, r: int) -> list[int]:
-        """smul(r, x) for every element x, in one pass."""
-        return self._coordinatewise([[col[r * x % len(col)] for x in range(len(col))]
-                                     for col in self._columns])
-
-    def translation_map(self, g: int) -> list[int]:
-        """add(x, g) for every element x, in one pass."""
-        # Adding a to coordinate x of a factor rotates its column by a.
-        return self._coordinatewise([col[a:] + col[:a]
-                                     for col, a in zip(self._columns, self.elements[g])])
-
     def element_name(self, i: int) -> str:
-        if len(self.factors) == 1:
-            return str(self.elements[i][0])
-        return "(" + ",".join(str(x) for x in self.elements[i]) + ")"
+        coords = self.coordinates(i)
+        if len(coords) == 1:
+            return str(coords[0])
+        return "(" + ",".join(map(str, coords)) + ")"
 
     def describe(self) -> str:
         return f"ring {self.ring.n} module {' '.join(str(d) for d in self.factors)}"
@@ -261,9 +262,6 @@ class CosetModule:
     def smul(self, r: int, i: int) -> int:
         return self._proj[self.base.smul(r, self.reps[i])]
 
-    def scaling_map(self, r: int) -> list[int]:
-        return [self.smul(r, x) for x in range(self.size)]
-
     def translation_map(self, g: int) -> list[int]:
         return [self.add(x, g) for x in range(self.size)]
 
@@ -307,7 +305,7 @@ class Submodule:
     def sort_key(self):
         return self.index
 
-    @property
+    @cached_property
     def name(self) -> str:
         mod = self.module
         if isinstance(mod, FiniteModule) and len(mod.factors) == 1:
@@ -329,15 +327,12 @@ def _closure(shift: list[int], seed: frozenset[int], g: int) -> frozenset[int]:
     the map over the last.
     """
     members = set(seed)
-    walk = []  # g, 2g, ..., up to the first multiple in H
-    x = g
+    x, steps = g, 0  # steps counts g, 2g, ... up to the first multiple in H
     while x not in members:
-        walk.append(x)
         x = shift[x]
-    if len(members) == 1:  # H = 0: each coset is one point of the walk
-        return frozenset(members.union(walk))
+        steps += 1
     coset = list(members)
-    for _ in walk:
+    for _ in range(steps):
         coset = [shift[y] for y in coset]
         members.update(coset)
     return frozenset(members)
@@ -430,7 +425,7 @@ def _member_sets(module) -> list[frozenset[int]]:
             for x in range(len(col)):
                 col[x] += x % f * place * w
     lift = [0] * module.size
-    for x, key in enumerate(module._coordinatewise(columns)):
+    for x, key in enumerate(map(sum, itertools.product(*columns))):
         lift[key] = x
     weighted = [[[y * w for y in sub] for sub in _subgroups(part)]
                 for (part, _), w in zip(parts, radix)]
@@ -445,12 +440,13 @@ def _subgroups(module) -> list[frozenset[int]]:
     k prime to the order of g generates the same subgroup, so it is not
     walked again.  Every subgroup is a sum of cyclic ones, so closing under
     H + <g>, with one generator g per cyclic subgroup, reaches them all.
+    The zero subgroup is not closed: 0 + <g> is <g>, which the walks find.
     Both the walk and the closures step through g's translation map, built
     on first use and dropped when the call returns: no later query reads it.
     """
     shifts = cache(module.translation_map)
     gens = []  # one generator per cyclic subgroup
-    found = {frozenset({module.zero})}
+    found = set()
     covered = [False] * module.size
     covered[module.zero] = True
     for g in range(module.size):
@@ -476,6 +472,7 @@ def _subgroups(module) -> list[frozenset[int]]:
                 if grown not in found:
                     found.add(grown)
                     work.append(grown)
+    found.add(frozenset({module.zero}))
     return list(found)
 
 
@@ -773,8 +770,8 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     order extends inclusion, so the lowest submodule left in N's strict up
     row covers N; clearing its up row and repeating lists N's covers, which
     build_lattice takes like any other order.  For each prime p dividing n
-    the row of p maps N to pN, the least submodule holding p times each
-    generator of N.  Every ideal (d) of Z/nZ is a product of prime ideals,
+    the row of p maps N to pN, the least submodule holding smul(p, g) for
+    each generator g of N.  Every ideal (d) of Z/nZ is a product of prime ideals,
     and (d)N = p((d/p)N) for a prime p dividing d, so the row of d is the
     row of d/p followed by the row of p; divisors ascend, so the row of d/p
     is ready first.  make_action still checks the three axioms on the result.
@@ -803,8 +800,7 @@ def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
                                     for p in primes if n % (d * p) == 0])
     rows = {1: list(range(len(subs)))}
     for p in primes:
-        image = module.scaling_map(p)
-        rows[p] = [_least(containing, map(image.__getitem__, s.generators)) for s in subs]
+        rows[p] = [_least(containing, [module.smul(p, g) for g in s.generators]) for s in subs]
     table = []
     for d in divs:
         row = rows.get(d)

@@ -460,6 +460,19 @@ class TestReports:
         assert main(["minimize", "--in", spec, "--summands", "(8),(3)"]) == 0
         assert "minimize.input  [(2)+(3)]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("summands,code,line", [
+        ("(0),(4)", 3, "error: zero cannot be a summand"),
+        ("(12),(4)", 3, "error: zero cannot be a summand"),
+        ("(-3),(4)", 0, "PASS  minimize.input  [(3)+(4)]"),
+    ])
+    def test_minimize_reduces_cyclic_summands_to_residues(self, tmp_path, capsys,
+                                                          summands, code, line):
+        # 12 and 0 are the zero element of Z_12, and -3 is 9, which generates (3).
+        spec = write(tmp_path, "m.spec", Z12)
+        assert main(["minimize", "--in", spec, "--summands", summands]) == code
+        captured = capsys.readouterr()
+        assert line in (captured.out + captured.err).splitlines()
+
     def test_minimize_rejects_bad_summands(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
         assert main(["minimize", "--in", spec, "--summands", "(4),(6)"]) == 3

@@ -374,6 +374,39 @@ class TestOrderKernels:
                 build(size, pairs)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("size,pairs", [
+        # Components {0, 9}, {1, 8}, {3, 5, 7} and {2, 4, 6}, some linked: the
+        # least second-least element is 4, though 0 and 1 lie on cycles.
+        (10, [(0, 9), (9, 0), (3, 5), (5, 7), (7, 3), (2, 6), (6, 4), (4, 2),
+              (9, 3), (5, 2), (1, 8), (8, 1)]),
+        # A two-cycle below a long chain, above one, and a cycle spanning its middle.
+        (600, [(k, k + 1) for k in range(599)] + [(1, 0)]),
+        (600, [(k, k + 1) for k in range(599)] + [(599, 598)]),
+        (600, [(k, k + 1) for k in range(599)] + [(400, 200)]),
+        # Two-cycles linked in a chain, numbered downward.
+        (600, [(k, k + 1) for k in range(0, 600, 2)] + [(k + 1, k) for k in range(0, 600, 2)]
+         + [(k + 2, k + 1) for k in range(0, 598, 2)]),
+    ], ids=["several", "below-chain", "above-chain", "across-chain", "linked-two-cycles"])
+    def test_cycles_name_the_first_repeated_row_in_long_orders(self, size, pairs):
+        message = oracles.cycle_message_reference(oracles.closure_reference(size, pairs))
+        assert message is not None
+        for build in (build_poset, build_lattice):
+            with pytest.raises(NotAPartialOrder) as err:
+                build(size, pairs)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("linked", [False, True], ids=["chain", "linked-two-cycles"])
+    def test_cycle_below_a_4096_chain_needs_no_recursion(self, linked):
+        # Deeper than the recursion limit; a search that recursed would fail.
+        size = 4096
+        if linked:
+            pairs = [p for k in range(0, size, 2) for p in ((k, k + 1), (k + 1, k), (k + 1, k + 2))]
+            pairs = [(i, j) for i, j in pairs if j < size]
+        else:
+            pairs = [(k, k + 1) for k in range(size - 1)] + [(1, 0)]
+        with pytest.raises(NotAPartialOrder, match=r"^antisymmetry fails on 0 and 1$"):
+            build_poset(size, pairs)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_lattice_rows_covers_and_intervals_in_any_numbering(self, seed):
         act = random_instance(seed, 12, 4)

@@ -153,7 +153,7 @@ class TestSpanAndEnumeration:
 
     def test_span_of_two_klein_lines_is_whole(self):
         k = klein()
-        whole = span(k, (k._index[(1, 0)], k._index[(0, 1)]))
+        whole = span(k, (k.element((1, 0)), k.element((0, 1))))
         assert whole.order == 4
 
     def test_cyclic_submodule_counts_are_divisor_counts(self):
@@ -438,11 +438,31 @@ class TestBridge:
         for kernel in enumerate_submodules(module):
             assert_lattice_matches_reference(quotient_module(module, kernel))
 
-    def test_whole_module_maps_match_smul_and_add(self):
+    def test_translation_map_matches_add(self):
         for ring, factors in BRIDGE_MODULES:
             module = FiniteModule(Ring(ring), factors)
             elements = range(module.size)
-            for r in module.ring.divisors + (ring + 1, 2 * ring - 1):
-                assert module.scaling_map(r) == [module.smul(r, x) for x in elements], (ring, r)
             for g in elements:
                 assert module.translation_map(g) == [module.add(x, g) for x in elements], (ring, g)
+
+    @pytest.mark.parametrize("ring,factors", BRIDGE_MODULES, ids=module_ids(BRIDGE_MODULES))
+    def test_numbering_matches_lexicographic_product(self, ring, factors):
+        # The numbering, addition and scaling against the residue tuples in
+        # itertools.product order, with their sums and multiples reduced here.
+        module = FiniteModule(Ring(ring), factors)
+        tuples = list(itertools.product(*(range(d) for d in factors)))
+        index = {t: i for i, t in enumerate(tuples)}
+        assert module.size == len(tuples)
+        for i, t in enumerate(tuples):
+            assert module.coordinates(i) == t
+            assert module.element(t) == i
+            for shift in (-3, -1, 1, 2):
+                assert module.element([x + shift * d for x, d in zip(t, factors)]) == i, (t, shift)
+        scalars = module.ring.divisors + (0, -1, -ring - 5, ring + 1, 2 * ring - 1)
+        others = tuples[::module.size // 64 or 1]
+        for i, a in enumerate(tuples):
+            for r in scalars:
+                assert module.smul(r, i) == index[tuple(r * x % d for x, d in zip(a, factors))]
+            for b in others:
+                total = index[tuple((x + y) % d for x, y, d in zip(a, b, factors))]
+                assert module.add(i, index[b]) == total, (a, b)
