@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 
 from . import pshollow as ph
@@ -132,7 +133,7 @@ def _ints(lineno, words, count=None):
 
 
 def _parse_module(rows, bound) -> FiniteModule:
-    values = {}
+    values, lines = {}, {}  # the integers and the line number of each directive
     for lineno, words in rows:
         key, rest = words[0], words[1:]
         if key not in ("ring", "module"):
@@ -142,15 +143,20 @@ def _parse_module(rows, bound) -> FiniteModule:
         if key == "module" and not rest:
             raise ParseError(lineno, "module directive needs at least one factor")
         values[key] = _ints(lineno, rest, 1 if key == "ring" else None)
+        lines[key] = lineno
         if key == "ring" and values[key][0] > RING_MODULUS_LIMIT:
             raise ParseError(lineno, f"ring modulus must be at most "
                                      f"{RING_MODULUS_LIMIT}, got {values[key][0]}")
     if len(values) < 2:
         raise ParseError(None, "module spec needs both 'ring' and 'module' directives")
+    # A bad value is reported at the line of the directive that gave it.
+    lineno = lines["ring"]
     try:
-        return FiniteModule(Ring(values["ring"][0]), values["module"], bound=bound)
+        ring = Ring(values["ring"][0])
+        lineno = lines["module"]
+        return FiniteModule(ring, values["module"], bound=bound)
     except (ValueError, ModuleError) as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"line {lineno}: {exc}") from exc
 
 
 def _parse_lattice(rows) -> tuple[FiniteLattice, PosetAction]:
@@ -326,7 +332,10 @@ def _parse_summand_token(module: FiniteModule, token: str):
 
 
 def _expected_names(option: str) -> list[str]:
-    return [tok.strip() for tok in option.split(",") if tok.strip()]
+    # Split at the commas outside (...) and <...>, which a name such as
+    # <(0,1),(1,0)> holds.
+    return [tok.strip() for tok in re.findall(r"(?:<[^>]*>|\([^)]*\)|[^,])+", option)
+            if tok.strip()]
 
 
 def cmd_submodules(module: FiniteModule, args) -> Report:

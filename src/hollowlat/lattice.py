@@ -304,6 +304,54 @@ def chain(size: int) -> FiniteLattice:
     return build_lattice(size, [(i, i + 1) for i in range(size - 1)])
 
 
+def irredundant_families(lattice: FiniteLattice, candidates, compatible=None,
+                         max_terms=None) -> tuple[tuple[int, ...], ...]:
+    """Irredundant families of candidate elements that join to the top.
+
+    A family is drawn from candidates in their given order, no member lies
+    below the join of the others, ``compatible(a, b)`` holds for every pair
+    of members when it is given, and there are at most ``max_terms`` members
+    when that is given.  Families come out by size, then in the order of
+    ``itertools.combinations`` over candidates.
+
+    The search is depth first over index-increasing families and extends a
+    family one member at a time.  Irredundancy and the pairwise condition
+    are hereditary: a family that breaks one has no larger family that
+    keeps it.  So a branch is cut as soon as its newest member lies below
+    the running join, makes an earlier member redundant, or is incompatible
+    with one; and a family is not extended once it joins to the top, since
+    any further member would lie below that join.  Nothing valid is lost.
+    """
+    if max_terms is not None and max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    up, joins, top = lattice.up, lattice.join_table, lattice.top
+    found = []
+
+    def extend(family, total, rests, start):
+        # total is the join of family; rests[j] is the join of family without family[j].
+        for i in range(start, len(candidates)):
+            new = candidates[i]
+            if up[new] >> total & 1:
+                continue
+            if compatible is not None and not all(compatible(old, new) for old in family):
+                continue
+            row = joins[new]
+            grown_total = row[total]
+            complete = grown_total == top
+            if not complete and max_terms is not None and len(family) + 1 >= max_terms:
+                continue
+            grown_rests = [row[rest] for rest in rests]
+            if any(up[old] >> rest & 1 for old, rest in zip(family, grown_rests)):
+                continue
+            if complete:
+                found.append(family + (new,))
+            else:
+                extend(family + (new,), grown_total, grown_rests + [total], i + 1)
+
+    extend((), lattice.bottom, [], 0)
+    return tuple(sorted(found, key=len))
+
+
 @dataclass(frozen=True)
 class PosetAction:
     """An action of a finite poset on a finite bounded lattice.

@@ -44,6 +44,7 @@ from .lattice import (
     _bits,
     build_lattice,
     build_poset,
+    irredundant_families,
     is_multiplication,
     make_action,
     memo,
@@ -302,9 +303,6 @@ class Submodule:
     def le(self, other: "Submodule") -> bool:
         return _bridge(self.module)[1].le(self.index, other.index)
 
-    def sort_key(self):
-        return self.index
-
     @cached_property
     def name(self) -> str:
         mod = self.module
@@ -495,55 +493,6 @@ def sum_all(module, summands) -> Submodule:
     for s in summands:
         total = lat.join(total, s.index)
     return subs[total]
-
-
-def irredundant_families(module, candidates, compatible=None, max_terms=None
-                         ) -> tuple[tuple[Submodule, ...], ...]:
-    """Irredundant families of candidates that sum to the whole module.
-
-    A family is drawn from candidates in their given order, no member lies in
-    the sum of the others, ``compatible(a, b)`` holds for every pair of
-    members when it is given, and there are at most ``max_terms`` members
-    when that is given.  Families come out by size, then in the order of
-    ``itertools.combinations`` over candidates.
-
-    The search is depth first over index-increasing families and extends a
-    family one member at a time.  Irredundancy and the pairwise condition
-    are hereditary: a family that breaks one has no larger family that
-    keeps it.  So a branch is cut as soon as its newest member lies in the
-    running sum, makes an earlier member redundant, or is incompatible with
-    one; and a family is not extended once it sums to the module, since any
-    further member would lie in that sum.  Nothing valid is lost.
-    """
-    if max_terms is not None and max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
-    whole = whole_module(module)
-    found = []
-
-    def extend(family, total, rests, start):
-        # total is the sum of family; rests[j] is the sum of family without family[j].
-        for i in range(start, len(candidates)):
-            new = candidates[i]
-            if new.le(total):
-                continue
-            if compatible is not None and not all(compatible(old, new) for old in family):
-                continue
-            grown_total = sum_of(total, new)
-            complete = grown_total == whole
-            if not complete and max_terms is not None and len(family) + 1 >= max_terms:
-                continue
-            grown_rests = [sum_of(rest, new) for rest in rests]
-            if any(old.le(rest) for old, rest in zip(family, grown_rests)):
-                continue
-            grown = family + (new,)
-            if complete:
-                found.append(grown)
-            else:
-                extend(grown, grown_total, grown_rests + [total], i + 1)
-
-    extend((), zero_submodule(module), [], 0)
-    found.sort(key=len)
-    return tuple(found)
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
@@ -737,10 +686,12 @@ def find_minimal_second_representations(module) -> tuple[tuple[Submodule, ...], 
     """All irredundant families of second submodules summing to the module.
 
     Families are listed by size, then in ``itertools.combinations`` order over
-    the second submodules in canonical order; see irredundant_families for the
-    pruned search that finds them.  The result is memoized on the module.
+    the second submodules in canonical order; lattice.irredundant_families
+    finds them on the submodule lattice.  The result is memoized on the module.
     """
-    return irredundant_families(module, find_second_submodules(module))
+    subs, lat, act = _bridge(module)
+    return tuple(tuple(subs[x] for x in family)
+                 for family in irredundant_families(lat, spectrum(act, "second")))
 
 
 def attached_annihilators(module) -> tuple[Ideal, ...]:

@@ -24,12 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .lattice import lower_interval, memo
+from .lattice import irredundant_families, lower_interval, memo
 from .modules import (
     Ideal,
     ModuleError,
     Submodule,
     ZeroSubmodule,
+    _bridge,
     _factor,
     _maximal,
     annihilator,
@@ -39,7 +40,6 @@ from .modules import (
     find_second_submodules,
     ideal_set_names,
     intersect,
-    irredundant_families,
     is_comultiplication_module,
     is_distributive_module,
     is_multiplication_module,
@@ -235,11 +235,6 @@ class Representation:
         return "+".join(s.name for s in self.summands)
 
 
-def _hulls_incomparable(a: Submodule, b: Submodule) -> bool:
-    ha, hb = profile(a).hull, profile(b).hull
-    return not (ha.le(hb) or hb.le(ha))
-
-
 def _rest_sums(module, summands) -> list[Submodule]:
     """For each summand, the sum of all the others."""
     return [sum_all(module, summands[:j] + summands[j + 1:]) for j in range(len(summands))]
@@ -253,7 +248,8 @@ def minimality_witnesses(module, summands) -> tuple[str, ...]:
     """
     out = []
     for a, b in itertools.combinations(summands, 2):
-        if not _hulls_incomparable(a, b):
+        ha, hb = profile(a).hull, profile(b).hull
+        if ha.le(hb) or hb.le(ha):
             out.append(f"hull({a.name})~hull({b.name})")
     for s, rest in zip(summands, _rest_sums(module, summands)):
         if s.le(rest):
@@ -293,9 +289,9 @@ def minimize(rep: Representation) -> Representation:
     StepFailed naming the step and witnesses.
     """
     module = rep.module
-    parts = sorted(rep.summands, key=Submodule.sort_key)
+    parts = list(rep.summands)
     while True:
-        parts.sort(key=Submodule.sort_key)
+        parts.sort(key=lambda s: s.index)
 
         redundant = next((j for j, rest in enumerate(_rest_sums(module, parts))
                           if parts[j].le(rest)), None)
@@ -320,7 +316,6 @@ def minimize(rep: Representation) -> Representation:
         if merged_any:
             continue
 
-        collapsed = False
         for i, j in itertools.permutations(range(len(parts)), 2):
             hi, hj = profile(parts[i]).hull, profile(parts[j]).hull
             if hi.le(hj):
@@ -332,11 +327,9 @@ def minimize(rep: Representation) -> Representation:
                                      "family-changed")
                 keep = [parts[m] for m in range(len(parts)) if m not in (i, j)]
                 parts = keep + [hj]
-                collapsed = True
                 break
-        if collapsed:
-            continue
-        break
+        else:  # nothing to drop, merge or collapse
+            break
 
     out = make_representation(module, tuple(parts))
     if not out.minimal:
@@ -350,15 +343,21 @@ def enumerate_minimal_representations(module, max_terms: int | None = None
 
     Representations are listed by length, then in ``itertools.combinations``
     order over the ps-hollow submodules in canonical order.  The search is
-    irredundant_families with pairwise incomparable hulls as its pairwise
-    condition, so it prunes every family that breaks either minimality
-    condition.  A minimal representation has at most as many summands as
-    there are distinct hulls, since its hulls are pairwise distinct.
-    max_terms must be at least 1 when given.
+    lattice.irredundant_families with incomparable hulls, by up rows, as its
+    pairwise condition, so it prunes every family that breaks either
+    minimality condition.  A minimal representation has at most as many
+    summands as there are distinct hulls, since its hulls are pairwise
+    distinct.  max_terms must be at least 1 when given.
     """
-    hollows = [s for s, _ in find_ps_hollow_submodules(module)]
-    families = irredundant_families(module, hollows, _hulls_incomparable, max_terms)
-    return tuple(make_representation(module, family) for family in families)
+    subs, lat, act = _bridge(module)
+    hollows = spectrum(act, "ps_hollow")
+    hull = {x: _profile(module, x).hull.index for x in hollows}
+
+    def incomparable(a, b):
+        return not (lat.up[hull[a]] >> hull[b] & 1 or lat.up[hull[b]] >> hull[a] & 1)
+
+    families = irredundant_families(lat, hollows, incomparable, max_terms)
+    return tuple(make_representation(module, [subs[x] for x in f]) for f in families)
 
 
 # -- uniqueness ----------------------------------------------------------------

@@ -15,7 +15,9 @@ hollow-ideal reference tries every pair of divisors.  The search references
 are the exhaustive subset loops the package's pruned depth-first search
 replaced: every combination of candidates is tried, by size, in
 ``itertools.combinations`` order, and kept when it sums to the module and
-passes the minimality test written here from the definitions.
+passes the minimality test written here from the definitions.  The lattice
+search reference is the same loop over the elements of any lattice, with
+joins and inclusion read one pair at a time.
 
 The lifting reference is the loop the package ran before it read smallness
 off the interval [K, M]: for each direct summand K inside N it builds the
@@ -45,6 +47,7 @@ read each lower bound off a row: it marks the entries assigned so far and
 scans the poset order for the elements below s.
 """
 
+import functools
 import itertools
 import math
 
@@ -498,3 +501,27 @@ def covers_reference(order):
     return [(x, y) for x in elems for y in elems
             if x != y and order.le(x, y)
             and not any(order.le(x, z) and order.le(z, y) for z in elems if z not in (x, y))]
+
+
+def irredundant_families_reference(lattice, candidates, compatible=None, max_terms=None):
+    """Every combination of candidates, by size, that the search must list.
+
+    A combination is kept when it joins to the top, no member lies below the
+    join of the others, and compatible holds for every pair, earlier member
+    first, when it is given.
+    """
+    def join(elems):
+        return functools.reduce(lattice.join, elems, lattice.bottom)
+
+    cap = len(candidates) if max_terms is None else min(max_terms, len(candidates))
+    out = []
+    for size in range(1, cap + 1):
+        for combo in itertools.combinations(candidates, size):
+            if join(combo) != lattice.top:
+                continue
+            if any(lattice.le(combo[j], join(combo[:j] + combo[j + 1:])) for j in range(size)):
+                continue
+            if compatible is None or all(compatible(a, b)
+                                         for a, b in itertools.combinations(combo, 2)):
+                out.append(combo)
+    return out

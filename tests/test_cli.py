@@ -167,6 +167,19 @@ class TestExitCodes:
         assert main(["represent", "--in", spec, "--expect", "(2),(6)"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,expect,line", [
+        ("represent", "<(0,1),(1,0)>", "PASS  representation.expected  [<(0,1),(1,0)>]"),
+        ("pshollow", "<(0,1)>, <(1,0)>,<(1,1)>,<(0,1),(1,0)>",
+         "PASS  ps_hollow.expected  [expected=<(0,1),(1,0)>,<(0,1)>,<(1,0)>,<(1,1)> "
+         "got=<(0,1),(1,0)>,<(0,1)>,<(1,0)>,<(1,1)>]"),
+    ], ids=["represent", "pshollow"])
+    def test_expect_keeps_commas_inside_names(self, tmp_path, capsys, command, expect, line):
+        # A submodule of a direct sum is named by its generators, which hold
+        # commas; --expect splits only at the commas between names.
+        spec = write(tmp_path, "m.spec", KLEIN)
+        assert main([command, "--in", spec, "--expect", expect]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_hypothesis_unmet_case(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
         code = main(["verify", "--in", spec, "--claim", "semisimple_equivalences"])
@@ -225,6 +238,16 @@ class TestMalformedInput:
     def test_minimize_non_integer_coordinate(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
         self.assert_rejected(["minimize", "--in", spec, "--summands", "1:x"], capsys)
+
+    def test_minimize_coordinate_of_wrong_arity(self, tmp_path, capsys):
+        spec = write(tmp_path, "m.spec", KLEIN)
+        err = self.assert_rejected(["minimize", "--in", spec, "--summands", "1:0:0"], capsys)
+        assert err == "error: element '1:0:0' has wrong arity\n"
+
+    def test_verify_claim_prefix_matching_nothing(self, tmp_path, capsys):
+        spec = write(tmp_path, "m.spec", KLEIN)
+        err = self.assert_rejected(["verify", "--in", spec, "--claim", "nope"], capsys)
+        assert err == "error: no battery claim starts with 'nope'\n"
 
     def test_hasse_unknown_highlight_kind(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)
@@ -352,12 +375,17 @@ class TestParserMessages:
         # Several faults: the out-of-range leq pair comes before the repeated act entry.
         (CHAIN_SPEC.replace("leq 0 1", "leq 0 5") + "act 0 1 0\n",
          "line 2: leq 0 5 out of range for size 2"),
+        # A bad ring or module value is reported at the line that gave it.
+        ("ring 1\nmodule 2\n", "line 1: modulus must be at least 2"),
+        ("ring 12\n\nmodule 0\n", "line 3: cyclic factor 0 must be at least 2"),
+        ("ring 12\nmodule 5\n", "line 2: cyclic factor 5 does not divide the modulus 12"),
+        ("ring 2\nmodule" + " 2" * 13 + "\n", "line 2: module order 8192 exceeds bound 4096"),
     ], ids=["unknown-module", "unknown-lattice", "duplicate-ring", "duplicate-module",
             "duplicate-lattice", "duplicate-poset", "integers-module", "integers-lattice",
             "integer-count", "ring-limit", "empty-module", "missing-module", "missing-poset",
             "lattice-size", "poset-zero", "leq-range", "sleq-range", "act-range",
             "duplicate-act", "incomplete", "first-directive", "leq-cycle", "sleq-cycle",
-            "fault-order"])
+            "fault-order", "ring-one", "module-zero", "module-factor", "module-bound"])
     def test_error_line(self, tmp_path, capsys, text, message):
         spec = write(tmp_path, "s.spec", text)
         assert main(["spectra", "--in", spec]) == 3
@@ -472,6 +500,13 @@ class TestReports:
         assert main(["minimize", "--in", spec, "--summands", summands]) == code
         captured = capsys.readouterr()
         assert line in (captured.out + captured.err).splitlines()
+
+    @pytest.mark.parametrize("summands", ["1:0,0:1", "1:0+0:1"])
+    def test_minimize_reads_coordinate_summands(self, tmp_path, capsys, summands):
+        # Two lines of Z_2 + Z_2 share their family, so they merge into their sum.
+        spec = write(tmp_path, "m.spec", KLEIN)
+        assert main(["minimize", "--in", spec, "--summands", summands]) == 0
+        assert "PASS  minimize.result  [<(0,1),(1,0)>]" in capsys.readouterr().out.splitlines()
 
     def test_minimize_rejects_bad_summands(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)

@@ -17,6 +17,7 @@ from hollowlat.lattice import (
     build_poset,
     chain,
     dual_action,
+    irredundant_families,
     is_join_distributive,
     is_multiplication,
     lower_interval,
@@ -27,7 +28,7 @@ from hollowlat.lattice import (
     trivial_action,
 )
 from hollowlat.modules import FiniteModule, Ring, _meets_distribute, submodule_lattice
-from hollowlat.spectra import random_instance
+from hollowlat.spectra import random_instance, random_lattice
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -441,6 +442,29 @@ class TestOrderKernels:
             for o in (order, order.dual()):
                 assert o.covers() == oracles.covers_reference(o)
             assert list(order.up) == oracles.closure_reference(order.size, order.covers())
+
+
+class TestIrredundantFamilies:
+    """The pruned search lists exactly what the exhaustive combination loop lists."""
+
+    def test_random_lattices_against_reference(self):
+        for seed in range(100):
+            lat = random_lattice(random.Random(seed))
+            candidates = [x for x in lat.elements() if x != lat.bottom]
+            # Members of an irredundant family are pairwise incomparable
+            # already, so the condition compares their joins with a fixed
+            # element instead, as the module search compares hulls.
+            pivot = lat.size // 2
+
+            def joins_incomparable(a, b):
+                ja, jb = lat.join(a, pivot), lat.join(b, pivot)
+                return not (lat.le(ja, jb) or lat.le(jb, ja))
+
+            for compatible in (None, joins_incomparable):
+                for max_terms in (None, 1, 2, 3):
+                    got = irredundant_families(lat, candidates, compatible, max_terms)
+                    assert list(got) == oracles.irredundant_families_reference(
+                        lat, candidates, compatible, max_terms), (seed, compatible, max_terms)
 
 
 class TestDistributivityAgainstReferences:
