@@ -317,25 +317,40 @@ def _summand_int(token: str, word: str) -> int:
 
 
 def _parse_summand_token(module: FiniteModule, token: str):
+    """The submodule a summand token names.
+
+    The forms are (k) on a cyclic module, generators a:b+c:d, and a name as
+    submodule names print, such as <(0,1),(1,0)>.
+    """
     token = token.strip()
     if not token:
         raise ValidationError("empty summand token")
     if token.startswith("(") and token.endswith(")") and len(module.factors) == 1:
         return span(module, [module.element([_summand_int(token, token[1:-1])])])
+    if token.startswith("<") and token.endswith(">"):
+        parts = _expected_names(token[1:-1])
+        for part in parts:
+            if not (part.startswith("(") and part.endswith(")")):
+                raise ValidationError(f"summand {token!r}: {part!r} is not an element (a,b,...)")
+        elements = [(part, part[1:-1].split(",")) for part in parts]
+    else:
+        elements = [(part, part.split(":")) for part in token.split("+")]
     gens = []
-    for part in token.split("+"):
-        coords = [_summand_int(token, c) for c in part.split(":")]
+    for part, words in elements:
+        coords = [_summand_int(token, c) for c in words]
         if len(coords) != len(module.factors):
             raise ValidationError(f"element {part!r} has wrong arity")
         gens.append(module.element(coords))
     return span(module, gens)
 
 
+# A name: everything up to a comma outside (...) and <...>, which a name such
+# as <(0,1),(1,0)> holds.
+_NAME = re.compile(r"(?:<[^>]*>|\([^)]*\)|[^,])+")
+
+
 def _expected_names(option: str) -> list[str]:
-    # Split at the commas outside (...) and <...>, which a name such as
-    # <(0,1),(1,0)> holds.
-    return [tok.strip() for tok in re.findall(r"(?:<[^>]*>|\([^)]*\)|[^,])+", option)
-            if tok.strip()]
+    return [tok.strip() for tok in _NAME.findall(option) if tok.strip()]
 
 
 def cmd_submodules(module: FiniteModule, args) -> Report:
@@ -410,8 +425,12 @@ def cmd_represent(module: FiniteModule, args) -> Report:
 def cmd_minimize(module: FiniteModule, args) -> Report:
     if not args.summands:
         raise ValidationError("minimize needs --summands")
-    summands = tuple(_parse_summand_token(module, tok)
-                     for tok in args.summands.split(","))
+    tokens = _NAME.findall(args.summands)
+    # The names are split as _expected_names splits them.  What lies between
+    # them is commas, so a comma too many, as in "(3),,(4)", leaves an empty token.
+    if ",".join(tokens) != args.summands:
+        raise ValidationError("empty summand token")
+    summands = tuple(_parse_summand_token(module, tok) for tok in tokens)
     try:
         rep = ph.make_representation(module, summands)
     except (ValueError, ModuleError) as exc:

@@ -12,8 +12,11 @@ Order relations are stored as bitmask rows, one int per element, which keeps
 every predicate a couple of machine ops at desk scale.  There is one
 representation of an order: every poset keeps its up and down rows and the
 upper covers of each element, so its dual swaps the rows and takes the lower
-covers, derived once when first asked for; every lattice, whatever its
-size, also keeps its meet and join tables, so its dual swaps those too.
+covers, derived once when first asked for.  A lattice's meet and join
+tables are derived from its own down and up rows by one builder,
+_bound_table, when first read: an interval that no one asks for a meet or
+a join builds neither, and a dual takes over, swapped, the tables its
+lattice has already built.
 
 The order kernels take one step per given pair or per cover, not one per
 comparable pair, in any numbering of the elements: the pass that closes an
@@ -239,8 +242,16 @@ class FiniteLattice(FinitePoset):
 
     bottom: int
     top: int
-    meet_table: tuple[tuple[int, ...], ...] = field(repr=False)
-    join_table: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """meet_table[x][y] is the meet of x and y; derived once, when asked."""
+        return _bound_table(self.down)
+
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        """join_table[x][y] is the join of x and y; derived once, when asked."""
+        return _bound_table(self.up)
 
     def meet(self, x: int, y: int) -> int:
         return self.meet_table[x][y]
@@ -249,16 +260,13 @@ class FiniteLattice(FinitePoset):
         return self.join_table[x][y]
 
     def dual(self) -> "FiniteLattice":
-        return FiniteLattice(
-            size=self.size,
-            up=self.down,
-            down=self.up,
-            upper=self.lower,
-            bottom=self.top,
-            top=self.bottom,
-            meet_table=self.join_table,
-            join_table=self.meet_table,
-        )
+        dual = FiniteLattice(self.size, self.down, self.up, self.lower, self.top, self.bottom)
+        # Hand over the tables built so far, swapped.
+        built = vars(self)
+        for name, swapped in (("meet_table", "join_table"), ("join_table", "meet_table")):
+            if name in built:
+                vars(dual)[swapped] = built[name]
+        return dual
 
 
 def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -280,24 +288,25 @@ def _bound_table(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def build_lattice(size: int, leq_pairs) -> FiniteLattice:
     """The bounded lattice on the order the pairs generate.
 
-    Raises NotAPartialOrder on a cycle, Unbounded when a global least or
-    greatest element is missing, and MeetOrJoinMissing when some pair has
-    no unique greatest lower or least upper bound.
+    Raises Unbounded when size is below 1, NotAPartialOrder on a cycle, and
+    MeetOrJoinMissing when some pair has no unique greatest lower or least
+    upper bound.  An order without a global bottom or top has a pair of
+    minimal or maximal elements with no meet or join, so the tables reject
+    it too.
     """
     if size < 1:
         raise Unbounded("a lattice needs at least one element")
     up, down, upper = _close_and_check(size, leq_pairs)
     meet = _bound_table(down)
     join = _bound_table(up)
-    full = (1 << size) - 1
-    bottoms = [i for i in range(size) if up[i] == full]
-    tops = [i for i in range(size) if down[i] == full]
-    if not bottoms or not tops:
-        raise Unbounded("order has no global bottom or top")
     # A finite partial order in which every pair has a unique meet and join
     # is a lattice, so the lattice laws need no check here; the tests check
-    # them on random and submodule lattices.
-    return FiniteLattice(size, up, down, upper, bottoms[0], tops[0], meet, join)
+    # them on random and submodule lattices.  The meet of all elements is
+    # the bottom, the one element whose up row is full; dually the top.
+    full = (1 << size) - 1
+    lat = FiniteLattice(size, up, down, upper, up.index(full), down.index(full))
+    vars(lat).update(meet_table=meet, join_table=join)
+    return lat
 
 
 def chain(size: int) -> FiniteLattice:
@@ -448,11 +457,12 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     """The interval [low, high] as a lattice, with the action s.y -> (s.y) join low.
 
     Member i of the interval is its i-th element in ascending identifier
-    order.  An interval is closed under meets and joins, so its order rows
-    and its tables are restrictions of the lattice's and need no check.  The
+    order.  An interval is closed under meets and joins, so it is a lattice
+    and needs no check; its meet and join tables, the restrictions of the
+    lattice's, are derived from its own rows if something reads them.  The
     induced action satisfies the axioms: (s.y) join low <= y join low = y,
     and it is monotone in s and in y because s.y is and joining with low is.
-    For low = bottom the join changes nothing.  Restricting a table row
+    For low = bottom the join changes nothing.  Restricting an action row
     gathers its entries at the members in one ``itemgetter`` call and maps
     each through y -> y join low, renumbered, which is the renumbering on
     the interval itself.
@@ -473,10 +483,6 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     renumber = list(map(index.__getitem__, lat.join_table[low])).__getitem__
     # itemgetter with a single key returns the entry itself, not a 1-tuple.
     pick = itemgetter(*elems) if len(elems) > 1 else lambda seq: (seq[low],)
-
-    def restrict_table(rows) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(map(renumber, pick(row))) for row in rows)
-
     size = len(elems)
     # Down rows grow strictly along every chain, so sorting by their sizes
     # lists the members in a linear extension.
@@ -495,10 +501,9 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
         row = down[i]
         for k in upper[i]:
             down[k] |= row
-    sub = FiniteLattice(size, tuple(up), tuple(down), tuple(upper), index[low], index[high],
-                        restrict_table(pick(lat.meet_table)),
-                        restrict_table(pick(lat.join_table)))
-    return sub, PosetAction(sub, action.poset, restrict_table(action.table))
+    sub = FiniteLattice(size, tuple(up), tuple(down), tuple(upper), index[low], index[high])
+    table = tuple(tuple(map(renumber, pick(row))) for row in action.table)
+    return sub, PosetAction(sub, action.poset, table)
 
 
 def lower_interval(action: PosetAction, x: int) -> tuple[FiniteLattice, PosetAction]:

@@ -182,6 +182,9 @@ class FiniteModule:
         # Place values of the mixed radix: an element's index is the sum of its
         # coordinates times these.
         self._place = tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
+        # Each factor's multiples of its place value, 0, w, ..., (d - 1)w,
+        # which every translation map rotates.
+        self._multiples = tuple([list(range(0, d * w, w)) for d, w in zip(factors, self._place)])
         self.cache: dict = {}  # the values memoized on the module (see lattice.memo)
 
     zero = 0
@@ -208,8 +211,7 @@ class FiniteModule:
         # A factor's column lists (x + a) mod d times its place value w for
         # x = 0, 1, ..., d - 1: the multiples of w rotated by a.  Their sums,
         # in lexicographic order, list the images in index order.
-        columns = [[*range(a * w, d * w, w), *range(0, a * w, w)]
-                   for a, d, w in zip(self.coordinates(g), self.factors, self._place)]
+        columns = [col[a:] + col[:a] for a, col in zip(self.coordinates(g), self._multiples)]
         if len(columns) == 1:
             return columns[0]
         return list(map(sum, itertools.product(*columns)))

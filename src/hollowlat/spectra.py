@@ -19,7 +19,8 @@ and five on L minus the bottom element:
 The ps_ prefix abbreviates "pseudo strongly".  A spectrum is decided whole:
 its quantifiers are exhausted once, for all x at a time as bitmasks, and
 is_kind reads the same masks.  The masks are folded row by row over the meet,
-join and action tables, and every quantifier instance is still visited.
+join and action tables and the order rows, and every quantifier instance is
+still visited.
 tests/oracles.py keeps the per-element loops.
 """
 
@@ -102,13 +103,15 @@ def _violations(action: PosetAction, kind: str) -> int:
                     acc |= 1 << m
             got |= acc & ~(1 << a)
     elif kind == "coprime":
-        # s refutes x unless s.top <= x or (s.top) join x = top.
+        # s refutes x unless s.top <= x or (s.top) join x = top.  The up row
+        # of a join is the AND of the up rows, and the up row of top is its own bit.
+        only_top = 1 << top
         for t in tops:
-            acc = 0
-            for x, m in enumerate(lat.join_table[t]):
-                if m != top:
+            row, acc = up[t], 0
+            for x, above in enumerate(up):
+                if row & above != only_top:
                     acc |= 1 << x
-            got |= acc & ~up[t]
+            got |= acc & ~row
     elif kind == "second":
         # s refutes x unless s.x is x or bottom.
         for row in table:

@@ -15,7 +15,7 @@ from hollowlat.cli import (
     main,
     parse_spec,
 )
-from hollowlat.modules import FiniteModule, Ring, submodule_lattice
+from hollowlat.modules import FiniteModule, Ring, enumerate_submodules, submodule_lattice
 
 Z12 = "ring 12\nmodule 12\n"
 Z30 = "ring 30\nmodule 30\n"
@@ -243,6 +243,21 @@ class TestMalformedInput:
         spec = write(tmp_path, "m.spec", KLEIN)
         err = self.assert_rejected(["minimize", "--in", spec, "--summands", "1:0:0"], capsys)
         assert err == "error: element '1:0:0' has wrong arity\n"
+
+    @pytest.mark.parametrize("summands,message", [
+        ("<(0,1),(1,0,1)>", "element '(1,0,1)' has wrong arity"),
+        ("<(1)>", "element '(1)' has wrong arity"),
+        ("<(0,x)>", "summand '<(0,x)>': 'x' is not an integer"),
+        ("<(0,1)", "summand '<(0,1)': '<(0,1)' is not an integer"),
+        ("<>", "zero cannot be a summand"),
+        ("<0:1>", "summand '<0:1>': '0:1' is not an element (a,b,...)"),
+        ("<(0,1)>,,<(1,0)>", "empty summand token"),
+        ("<(0,1)>,", "empty summand token"),
+    ])
+    def test_minimize_malformed_submodule_name(self, tmp_path, capsys, summands, message):
+        spec = write(tmp_path, "m.spec", KLEIN)
+        err = self.assert_rejected(["minimize", "--in", spec, "--summands", summands], capsys)
+        assert err == f"error: {message}\n"
 
     def test_verify_claim_prefix_matching_nothing(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", KLEIN)
@@ -507,6 +522,26 @@ class TestReports:
         spec = write(tmp_path, "m.spec", KLEIN)
         assert main(["minimize", "--in", spec, "--summands", summands]) == 0
         assert "PASS  minimize.result  [<(0,1),(1,0)>]" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("summands,line", [
+        ("<(0,1),(1,0)>", "PASS  minimize.input  [<(0,1),(1,0)>]"),
+        ("<(0,1)>,<(1,0)>", "PASS  minimize.input  [<(0,1)>+<(1,0)>]"),
+        ("<(0,1)>, 1:0", "PASS  minimize.input  [<(0,1)>+<(1,0)>]"),
+    ])
+    def test_minimize_reads_submodule_names(self, tmp_path, capsys, summands, line):
+        # Names as represent and pshollow print them, commas and all.
+        spec = write(tmp_path, "m.spec", KLEIN)
+        assert main(["minimize", "--in", spec, "--summands", summands]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert line in out and "PASS  minimize.result  [<(0,1),(1,0)>]" in out
+
+    @pytest.mark.parametrize("ring,factors", [(2, (2, 2)), (4, (4, 2)), (6, (6, 6)), (12, (12,))])
+    def test_every_submodule_name_reads_back(self, ring, factors):
+        # The zero submodule of a direct sum is named 0, and no summand is zero.
+        module = FiniteModule(Ring(ring), factors)
+        for sub in enumerate_submodules(module):
+            if not sub.is_zero:
+                assert cli._parse_summand_token(module, sub.name) == sub, sub.name
 
     def test_minimize_rejects_bad_summands(self, tmp_path, capsys):
         spec = write(tmp_path, "m.spec", Z12)

@@ -1,13 +1,14 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import oracles
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hollowlat import cli
+from hollowlat import cli, lattice
 from hollowlat.lattice import (
     AxiomViolation,
     _bits,
@@ -28,7 +29,12 @@ from hollowlat.lattice import (
     trivial_action,
 )
 from hollowlat.modules import FiniteModule, Ring, _meets_distribute, submodule_lattice
-from hollowlat.spectra import random_instance, random_lattice
+from hollowlat.spectra import (
+    check_duality_theorem,
+    check_spectrum_identities,
+    random_instance,
+    random_lattice,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -41,6 +47,12 @@ def module_lattice(ring, *factors):
 def diamond():
     # 0 < 1, 2 < 3 with 1 and 2 incomparable
     return build_lattice(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def tables(lat):
+    # Lattice equality compares the dataclass fields; the tables are derived
+    # state, not fields, so every comparison of intervals names them too.
+    return lat.meet_table, lat.join_table
 
 
 class TestBuildLattice:
@@ -70,6 +82,17 @@ class TestBuildLattice:
         # the message names 1 and 2, not the cycle through the least element.
         with pytest.raises(NotAPartialOrder, match="^antisymmetry fails on 1 and 2$"):
             build_poset(4, [(0, 3), (3, 0), (1, 2), (2, 1)])
+
+    @pytest.mark.parametrize("size,pairs,message", [
+        (2, [], "no unique bound for pair (0, 1)"),
+        (3, [(0, 2), (1, 2)], "no unique bound for pair (0, 1)"),
+        (3, [(0, 1), (0, 2)], "no unique bound for pair (1, 2)"),
+    ], ids=["antichain", "bottomless", "topless"])
+    def test_unbounded_order_has_a_pair_without_bound(self, size, pairs, message):
+        # Two minimal (maximal) elements have no meet (join), so the tables
+        # reject every order without a global bottom (top).
+        with pytest.raises(MeetOrJoinMissing, match=f"^{re.escape(message)}$"):
+            build_lattice(size, pairs)
 
     def test_transitive_closure_applied(self):
         lat = build_lattice(3, [(0, 1), (1, 2)])
@@ -309,12 +332,85 @@ class TestAgainstReferences:
             # classes are the positions in [x, top].
             ref_sub, ref_act, class_map = oracles.quotient_reference(act, x)
             assert (sub, sub_act) == (ref_sub, ref_act), x
+            assert tables(sub) == tables(ref_sub), x
             assert class_map == {y: i for i, y in enumerate(_bits(lat.up[x]))}, x
-            low = lower_interval(act, x)
-            assert low == oracles.lower_interval_reference(act, x), x
+            low, ref_low = lower_interval(act, x), oracles.lower_interval_reference(act, x)
+            assert low == ref_low and tables(low[0]) == tables(ref_low[0]), x
             derived += [sub_act, low[1]]
         for d in derived:
             assert make_action(d.lattice, d.poset, d.table) == d
+
+
+def restricted(table, elems):
+    """The parent's table on the members elems, renumbered by position."""
+    index = {y: i for i, y in enumerate(elems)}
+    return tuple(tuple(index[table[y][z]] for z in elems) for y in elems)
+
+
+class TestDerivedTables:
+    """A lattice derives its meet and join tables from its rows when first read."""
+
+    def interval_tables(self, act):
+        lat = act.lattice
+        for x in lat.elements():
+            for (sub, _), low, high in ((lower_interval(act, x), lat.bottom, x),
+                                        (quotient(act, x), x, lat.top)):
+                elems = list(_bits(lat.up[low] & lat.down[high]))
+                assert "meet_table" not in vars(sub) and "join_table" not in vars(sub)
+                assert sub.meet_table == restricted(lat.meet_table, elems), (low, high)
+                assert sub.join_table == restricted(lat.join_table, elems), (low, high)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_interval_tables_are_the_restrictions_random(self, seed):
+        act = random_instance(seed, 12, 3)
+        for a in (act, dual_action(act)):
+            self.interval_tables(a)
+
+    @pytest.mark.parametrize("ring,factors", oracles.REFERENCE_MODULES)
+    def test_interval_tables_are_the_restrictions_bridge(self, ring, factors):
+        self.interval_tables(submodule_lattice(FiniteModule(Ring(ring), factors))[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds)
+    def test_dual_hands_over_built_tables(self, seed):
+        act = random_instance(seed, 12, 3)
+        lat = act.lattice
+        dual = lat.dual()
+        assert dual.meet_table is lat.join_table and dual.join_table is lat.meet_table
+        for x in lat.elements():
+            sub = quotient(act, x)[0]
+            elems = list(_bits(lat.up[x]))
+            # Only the meet table is built before the dual is taken: the dual
+            # takes it over as its join table and derives its own meet table.
+            meets = sub.meet_table
+            sub_dual = sub.dual()
+            assert sub_dual.join_table is meets and "meet_table" not in vars(sub_dual)
+            assert sub_dual.meet_table == restricted(lat.join_table, elems), x
+            assert sub_dual.dual() == sub and tables(sub_dual.dual()) == tables(sub), x
+
+    @pytest.mark.parametrize("act", [
+        pytest.param(random_instance(seed, 12, 4), id=f"random_instance({seed}, 12, 4)")
+        for seed in range(20)] + [
+        pytest.param(submodule_lattice(FiniteModule(Ring(ring), factors))[1],
+                     id=f"ring {ring} module {factors}")
+        for ring, factors in ((360, (360,)), (2, (2, 2, 2)), (8, (8, 4)))])
+    def test_identities_and_quotient_duality_build_no_table(self, act, monkeypatch):
+        # The identities read lower intervals and parts 3 and 4 quotients, by
+        # their order and action rows alone; the built lattice already holds
+        # its tables and hands them to its dual.
+        calls = []
+        bound_table = lattice._bound_table
+
+        def counted(rows):
+            calls.append(len(rows))
+            return bound_table(rows)
+
+        monkeypatch.setattr(lattice, "_bound_table", counted)
+        check_spectrum_identities(act)
+        for part in (3, 4):
+            check_duality_theorem(act, part)
+        assert calls == []
 
 
 def renumbered(action, perm):
@@ -416,9 +512,11 @@ class TestOrderKernels:
             assert lat.covers() == oracles.covers_reference(lat)
             assert lat.dual().covers() == oracles.covers_reference(lat.dual())
             for x in lat.elements():
-                assert lower_interval(a, x) == oracles.lower_interval_reference(a, x), x
+                low, ref_low = lower_interval(a, x), oracles.lower_interval_reference(a, x)
+                assert low == ref_low and tables(low[0]) == tables(ref_low[0]), x
                 ref_sub, ref_act, _ = oracles.quotient_reference(a, x)
-                assert quotient(a, x) == (ref_sub, ref_act), x
+                high = quotient(a, x)
+                assert high == (ref_sub, ref_act) and tables(high[0]) == tables(ref_sub), x
 
     @pytest.mark.parametrize("numbering", ["shuffled", "zigzag", "reversed"])
     def test_long_chain_covers_in_any_numbering(self, numbering):
