@@ -22,8 +22,10 @@ The order kernels take one step per given pair or per cover, not one per
 comparable pair, in any numbering of the elements: the pass that closes an
 order along Kahn's topological order also reduces the given pairs to the
 covers, and an interval takes its covers from the lattice's and closes its
-rows along them.  build_lattice is the one lattice constructor outside the
-derived constructions.
+rows along them.  build_lattice is the lattice constructor for orders from
+outside, and checks every meet and join.  Besides the derived constructions,
+only the module bridge builds a FiniteLattice directly: submodules always
+form a lattice, so it needs no such check.
 """
 
 from __future__ import annotations

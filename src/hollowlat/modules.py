@@ -5,29 +5,27 @@ ring modulus n, so scalars act as integer multiples and submodules coincide
 with subgroups.  Elements are numbered in mixed radix over the factors, and
 only FiniteModule knows the numbering: coordinates(i) gives the residues of
 element i and element(coords) the index of a residue tuple, and addition,
-scaling and element names go through the two.  Translation by g acts on each
-coordinate on its own, so its map over the whole module (translation_map) is
-built at once from one column per factor.
+scaling and element names go through the two.
 
 The submodules are enumerated from the group structure: a module whose order
 has several prime divisors splits into its p-primary parts, whose submodule
-lattices multiply, and each part is enumerated from its cyclic subgroups,
-closing under H + <g> one coset at a time through the translation map of g
-(enumerate_submodules), which keeps containing[x], the mask of the
-submodules that hold element x.  Canonical order sorts by order first, so it
-is a linear extension of inclusion, and the least submodule holding some
-elements is the lowest set bit of the AND of their masks.  Generators, spans
-and the lattice (submodule_lattice) are read off these masks, and so is the
-ideal action: for a prime p, pN is the least submodule holding smul(p, g)
-for the generators g of N.  Everything downstream is a query on that lattice: inclusion reads
-its order rows, sums and intersections its join and meet tables, ideal
-products its action table, and the class predicates are lattice and
-spectrum queries.  A quotient M/K is the interval [K, M] of that lattice,
-so the lifting predicate reads smallness in upper intervals and builds no
-quotient.  The explicit coset structure (CosetModule, quotient_module) stays
-public for the tests to compare against; its translation maps come from add
-element by element.  The brute-force definitions on member sets live in
-tests/oracles.py.
+lattices multiply, and each part lists its subgroups directly, one per basis
+in Hermite normal form (enumerate_submodules), which keeps containing[x],
+the mask of the submodules that hold element x.  Canonical order sorts by
+order first, so it is a linear extension of inclusion, and the least
+submodule holding some elements is the lowest set bit of the AND of their
+masks.  Generators, spans and the lattice (submodule_lattice) are read off
+these masks, and so is the ideal action: for a prime p, pN is the least
+submodule holding smul(p, g) for the generators g of N.  Everything
+downstream is a query on that lattice: inclusion reads its order rows, sums
+and intersections its join and meet tables, ideal products its action table,
+and the class predicates are lattice and spectrum queries.  A quotient M/K
+is the interval [K, M] of that lattice, so the lifting predicate reads
+smallness in upper intervals and builds no quotient.  The explicit coset
+structure (CosetModule, quotient_module) stays public for the tests to
+compare against; its submodules are the images of the submodules of M that
+contain K (the correspondence theorem).  The brute-force definitions on
+member sets live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from .lattice import (
     FiniteLattice,
     PosetAction,
     _bits,
-    build_lattice,
     build_poset,
     irredundant_families,
     is_multiplication,
@@ -182,9 +179,6 @@ class FiniteModule:
         # Place values of the mixed radix: an element's index is the sum of its
         # coordinates times these.
         self._place = tuple(math.prod(factors[i + 1:]) for i in range(len(factors)))
-        # Each factor's multiples of its place value, 0, w, ..., (d - 1)w,
-        # which every translation map rotates.
-        self._multiples = tuple([list(range(0, d * w, w)) for d, w in zip(factors, self._place)])
         self.cache: dict = {}  # the values memoized on the module (see lattice.memo)
 
     zero = 0
@@ -205,16 +199,6 @@ class FiniteModule:
 
     def smul(self, r: int, i: int) -> int:
         return self.element([r * x for x in self.coordinates(i)])
-
-    def translation_map(self, g: int) -> list[int]:
-        """add(x, g) for every element x, in one pass."""
-        # A factor's column lists (x + a) mod d times its place value w for
-        # x = 0, 1, ..., d - 1: the multiples of w rotated by a.  Their sums,
-        # in lexicographic order, list the images in index order.
-        columns = [col[a:] + col[:a] for a, col in zip(self.coordinates(g), self._multiples)]
-        if len(columns) == 1:
-            return columns[0]
-        return list(map(sum, itertools.product(*columns)))
 
     def element_name(self, i: int) -> str:
         coords = self.coordinates(i)
@@ -264,9 +248,6 @@ class CosetModule:
 
     def smul(self, r: int, i: int) -> int:
         return self._proj[self.base.smul(r, self.reps[i])]
-
-    def translation_map(self, g: int) -> list[int]:
-        return [self.add(x, g) for x in range(self.size)]
 
     def project(self, x: int) -> int:
         return self._proj[x]
@@ -318,26 +299,6 @@ class Submodule:
         return f"Submodule({self.name})"
 
 
-def _closure(shift: list[int], seed: frozenset[int], g: int) -> frozenset[int]:
-    """The subgroup seed + <g>, for a subgroup seed and g's translation map.
-
-    H + <g> is the union of the cosets H + kg for k = 0, 1, ... up to the
-    first k with kg in H, where the cosets start to repeat; walking g's
-    translation map from g finds that k.  Each new coset is then one pass of
-    the map over the last.
-    """
-    members = set(seed)
-    x, steps = g, 0  # steps counts g, 2g, ... up to the first multiple in H
-    while x not in members:
-        x = shift[x]
-        steps += 1
-    coset = list(members)
-    for _ in range(steps):
-        coset = [shift[y] for y in coset]
-        members.update(coset)
-    return frozenset(members)
-
-
 def _holding(containing: list[int], elements) -> int:
     # The mask of the submodules that hold all the elements; all hold zero.
     held = containing[0]
@@ -374,11 +335,11 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
     p-primary parts, whose orders are coprime, so its submodules are exactly
     the sums H_p1 + H_p2 + ... of one submodule from each part: each part is
     enumerated on its own and the products are pulled back along the CRT
-    projection.  The submodules of a part (or of a module of prime power
-    order, or of a quotient) are the sums of its cyclic submodules, found by
-    walking each cyclic submodule once and closing under H + <g>.  The
-    result is memoized on the module, with the masks containing[x] of the
-    submodules holding each element x (_enumeration).
+    projection.  A part, or a module of prime-power order, lists its
+    subgroups directly, one per basis in Hermite normal form (_subgroups).
+    The submodules of a quotient M/K are the images of the submodules of M
+    that contain K.  The result is memoized on the module, with the masks
+    containing[x] of the submodules holding each element x (_enumeration).
     """
     return _enumeration(module)[0]
 
@@ -404,76 +365,102 @@ def _enumeration(module) -> tuple[tuple[Submodule, ...], list[int]]:
 
 def _member_sets(module) -> list[frozenset[int]]:
     """Member sets of all submodules, in no particular order."""
+    if isinstance(module, CosetModule):
+        # The correspondence theorem: the submodules of M/K are the images of
+        # the submodules of M that contain K, the up row of K.
+        subs, containing = _enumeration(module.base)
+        return [frozenset(map(module.project, subs[i].members))
+                for i in _bits(_holding(containing, module.kernel.generators))]
     powers = [p ** v for p, v in _factor(module.size)]
-    if not isinstance(module, FiniteModule) or len(powers) < 2:
-        return _subgroups(module)
-    parts = []
-    for q in powers:
-        kept = [(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
-        # The part's order is q, which may exceed the default bound the module
-        # was checked against; q is no more than the module's own order.
-        parts.append((FiniteModule(Ring(q), [f for _, f in kept], bound=q), kept))
+    if len(powers) < 2:
+        return list(map(frozenset, _subgroups(module.factors)))
+    parts = [[(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
+             for q in powers]
     # Number the tuples (y_1, y_2, ...) of part elements in mixed radix, y_j
     # with place value radix[j].  The key of x, the number of its tuple of CRT
     # images, is a sum over x's coordinates, so all keys come from one
     # coordinatewise map, and lift inverts it.
-    radix = [math.prod(part.size for part, _ in parts[j + 1:]) for j in range(len(parts))]
+    radix = [math.prod(powers[j + 1:]) for j in range(len(powers))]
     columns = [[0] * d for d in module.factors]
-    for (part, kept), w in zip(parts, radix):
-        for (i, f), place in zip(kept, part._place):
+    for kept, q, w in zip(parts, powers, radix):
+        place = q  # the part's order; divided down to each factor's place value
+        for i, f in kept:
+            place //= f
             col = columns[i]
             for x in range(len(col)):
                 col[x] += x % f * place * w
     lift = [0] * module.size
     for x, key in enumerate(map(sum, itertools.product(*columns))):
         lift[key] = x
-    weighted = [[[y * w for y in sub] for sub in _subgroups(part)]
-                for (part, _), w in zip(parts, radix)]
+    weighted = [[[y * w for y in sub] for sub in _subgroups([f for _, f in kept])]
+                for kept, w in zip(parts, radix)]
     return [frozenset([lift[key] for key in map(sum, itertools.product(*combo))])
             for combo in itertools.product(*weighted)]
 
 
-def _subgroups(module) -> list[frozenset[int]]:
-    """Member sets of all subgroups, as sums of cyclic subgroups.
+def _subgroups(factors) -> list[list[int]]:
+    """Member lists of all subgroups of Z/f_1 + ... + Z/f_k, one per Hermite normal form.
 
-    Each cyclic subgroup <g> is walked once, as 0, g, 2g, ...; every kg with
-    k prime to the order of g generates the same subgroup, so it is not
-    walked again.  Every subgroup is a sum of cyclic ones, so closing under
-    H + <g>, with one generator g per cyclic subgroup, reaches them all.
-    The zero subgroup is not closed: 0 + <g> is <g>, which the walks find.
-    Both the walk and the closures step through g's translation map, built
-    on first use and dropped when the call returns: no later query reads it.
+    A subgroup H is the image of the lattice L of integer vectors that map
+    into it, and L holds every f_i e_i.  L has exactly one basis in Hermite
+    normal form: upper-triangular rows, each h_ii dividing f_i, each entry
+    right of the diagonal below the diagonal entry of its column (Cohen,
+    GTM 138, 2.4).  The rows are chosen from the last up, and the rows below
+    row i span the vectors of L that are zero up to position i.  So a row i
+    extends them exactly when L holds f_i e_i, that is, when (f_i / h_ii)
+    row_i, which differs from f_i e_i only right of position i, reduces to
+    zero against them: one back-substitution.  Each subgroup is listed once,
+    with no closure.
+
+    The members of the rows from i on are the cosets of the rows below
+    translated along c row_i for c < f_i / h_ii: position i holds c h_ii and
+    each coset is one pass of the tail's translation map over the last.  The
+    rows below are shared by every row chosen above them, so each member
+    list is built once.  A translation acts on each coordinate on its own,
+    so its map over the tail sums one rotated column per factor, in index
+    order; the maps are built on first use and dropped when the call returns.
     """
-    shifts = cache(module.translation_map)
-    gens = []  # one generator per cyclic subgroup
-    found = set()
-    covered = [False] * module.size
-    covered[module.zero] = True
-    for g in range(module.size):
-        if covered[g]:
-            continue
-        shift = shifts(g)
-        walk = [module.zero]
-        x = g
-        while x != module.zero:
-            walk.append(x)
-            x = shift[x]
-        for k in range(1, len(walk)):
-            if math.gcd(k, len(walk)) == 1:
-                covered[walk[k]] = True
-        gens.append(g)
-        found.add(frozenset(walk))
-    work = list(found)
-    while work:
-        h = work.pop()
-        for g in gens:
-            if g not in h:
-                grown = _closure(shifts(g), h, g)
-                if grown not in found:
-                    found.add(grown)
-                    work.append(grown)
-    found.add(frozenset({module.zero}))
-    return list(found)
+    k = len(factors)
+    place = [math.prod(factors[i + 1:]) for i in range(k)]
+    found = []
+
+    @cache
+    def translation(i, tail):
+        # add(x, tail) for every x that is zero up to position i.
+        columns = [[(x + a) % f * w for x in range(f)]
+                   for a, f, w in zip(tail, factors[i + 1:], place[i + 1:])]
+        return list(map(sum, itertools.product(*columns)))
+
+    def extend(i, rows, below):
+        # rows: the Hermite rows i+1, ..., k-1, each from its diagonal on;
+        # below: the members of their span.
+        if i < 0:
+            found.append(below)
+            return
+        f = factors[i]
+        for h in _divisors(f):
+            for tail in itertools.product(*(range(row[0]) for row in rows)):
+                v = [f // h * t for t in tail]
+                for r, row in enumerate(rows):
+                    q, rem = divmod(v[r], row[0])
+                    if rem:
+                        break
+                    for s in range(r + 1, len(v)):
+                        v[s] -= q * row[s - r]
+                else:
+                    cosets = [below]
+                    if any(tail):
+                        move = translation(i, tail).__getitem__
+                        for _ in range(1, f // h):
+                            cosets.append(list(map(move, cosets[-1])))
+                    else:
+                        cosets *= f // h
+                    offsets = range(0, f * place[i], h * place[i])
+                    extend(i - 1, ((h, *tail), *rows),
+                           [c + y for c, coset in zip(offsets, cosets) for y in coset])
+
+    extend(k - 1, (), [0])
+    return found
 
 
 def submodules_within(bound_sub: Submodule) -> tuple[Submodule, ...]:
@@ -719,15 +706,18 @@ def submodule_lattice(module) -> tuple[FiniteLattice, PosetAction]:
     reads it.
 
     Both are read off the containment masks.  L holds N exactly when it
-    holds N's generators, so N's up row is the AND of their masks.  Canonical
-    order extends inclusion, so the lowest submodule left in N's strict up
-    row covers N; clearing its up row and repeating lists N's covers, which
-    build_lattice takes like any other order.  For each prime p dividing n
-    the row of p maps N to pN, the least submodule holding smul(p, g) for
-    each generator g of N.  Every ideal (d) of Z/nZ is a product of prime ideals,
-    and (d)N = p((d/p)N) for a prime p dividing d, so the row of d is the
-    row of d/p followed by the row of p; divisors ascend, so the row of d/p
-    is ready first.  make_action still checks the three axioms on the result.
+    holds N's generators, so N's up row is the AND of their masks.
+    Canonical order extends inclusion, so the lowest submodule left in N's
+    strict up row covers N; clearing its up row and repeating lists N's
+    covers, and each cover takes in N's down row, which is whole by then.
+    Submodules always form a lattice, so unlike build_lattice the bridge
+    checks no meet or join, and the tables are derived when first read.  For
+    each prime p dividing n the row of p maps N to pN, the least submodule
+    holding smul(p, g) for each generator g of N.  Every ideal (d) of Z/nZ
+    is a product of prime ideals, and (d)N = p((d/p)N) for a prime p
+    dividing d, so the row of d is the row of d/p followed by the row of p;
+    divisors ascend, so the row of d/p is ready first.  make_action still
+    checks the three axioms on the result.
     """
     return _bridge(module)[1:]
 
@@ -738,14 +728,19 @@ def _bridge(module) -> tuple[tuple[Submodule, ...], FiniteLattice, PosetAction]:
     subs = enumerate_submodules(module)
     containing = _enumeration(module)[1]
     up = [_holding(containing, s.generators) for s in subs]
-    covers = []
+    # Canonical order extends inclusion, so every lower cover of x comes
+    # before x, has pushed its down row into x's, and x's down row is whole.
+    down = [1 << x for x in range(len(subs))]
+    upper = []
     for x, row in enumerate(up):
-        strict = row ^ 1 << x
+        covers, strict = [], row ^ 1 << x
         while strict:
             m = (strict & -strict).bit_length() - 1
-            covers.append((x, m))
+            covers.append(m)
+            down[m] |= down[x]
             strict &= ~up[m]
-    lat = build_lattice(len(subs), covers)
+        upper.append(tuple(covers))
+    lat = FiniteLattice(len(subs), tuple(up), tuple(down), tuple(upper), 0, len(subs) - 1)
     n, divs, primes = module.ring.n, module.ring.divisors, module.ring.primes
     # (dp) lies in (d); these covers generate the divisibility order.
     slot = {d: j for j, d in enumerate(divs)}

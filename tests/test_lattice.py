@@ -397,8 +397,11 @@ class TestDerivedTables:
         for ring, factors in ((360, (360,)), (2, (2, 2, 2)), (8, (8, 4)))])
     def test_identities_and_quotient_duality_build_no_table(self, act, monkeypatch):
         # The identities read lower intervals and parts 3 and 4 quotients, by
-        # their order and action rows alone; the built lattice already holds
-        # its tables and hands them to its dual.
+        # their order and action rows alone.  The whole lattice's own tables,
+        # which a submodule lattice too derives on first read, are read here
+        # first; the lattice then hands them to its dual.
+        lat = act.lattice
+        lat.meet_table, lat.join_table
         calls = []
         bound_table = lattice._bound_table
 

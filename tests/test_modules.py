@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hollowlat.lattice import is_join_distributive, is_multiplication
 from hollowlat.modules import (
@@ -161,9 +163,9 @@ class TestSpanAndEnumeration:
             assert len(enumerate_submodules(z(n))) == tau(n)
 
     def test_elementary_abelian_counts_are_gaussian_binomial_sums(self):
-        assert [subspace_count(k, 2) for k in range(1, 7)] == [2, 5, 16, 67, 374, 2825]
+        assert [subspace_count(k, 2) for k in range(1, 8)] == [2, 5, 16, 67, 374, 2825, 29212]
         assert subspace_count(4, 3) == 212
-        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 4)]:
+        for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4)]:
             module = FiniteModule(Ring(p), [p] * k)
             assert len(enumerate_submodules(module)) == subspace_count(k, p), (p, k)
 
@@ -180,6 +182,18 @@ class TestSpanAndEnumeration:
                              ids=module_ids(ENUMERATION_MODULES))
     def test_enumeration_matches_closure_oracle(self, ring, factors):
         assert_matches_closure(FiniteModule(Ring(ring), factors))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27]), min_size=1,
+                    max_size=4).filter(lambda factors: math.prod(factors) <= 48))
+    @example([8, 4, 2])
+    @example([9, 3])
+    @example([2, 8, 4])
+    @example([6, 4, 2])
+    def test_enumeration_matches_closure_oracle_random(self, factors):
+        # Random factor lists in random order: one prime with mixed exponents,
+        # or several primes, which split into p-parts.
+        assert_matches_closure(FiniteModule(Ring(math.lcm(*factors)), factors))
 
     @pytest.mark.parametrize("ring,factors", ENUMERATION_MODULES,
                              ids=module_ids(ENUMERATION_MODULES))
@@ -437,13 +451,6 @@ class TestBridge:
         module = FiniteModule(Ring(ring), factors)
         for kernel in enumerate_submodules(module):
             assert_lattice_matches_reference(quotient_module(module, kernel))
-
-    def test_translation_map_matches_add(self):
-        for ring, factors in BRIDGE_MODULES:
-            module = FiniteModule(Ring(ring), factors)
-            elements = range(module.size)
-            for g in elements:
-                assert module.translation_map(g) == [module.add(x, g) for x in elements], (ring, g)
 
     @pytest.mark.parametrize("ring,factors", BRIDGE_MODULES, ids=module_ids(BRIDGE_MODULES))
     def test_numbering_matches_lexicographic_product(self, ring, factors):
