@@ -275,8 +275,9 @@ def module_battery(module: FiniteModule) -> Report:
 
     report.extend(ph.check_min_cover_ideals(module))
     found = ph.find_ps_hollow_submodules(module)
+    up = lat.up
     for (n, pn), (k, pk) in itertools.combinations(found, 2):
-        if n.le(k) or k.le(n):
+        if up[n.index] >> k.index & 1 or up[k.index] >> n.index & 1:
             continue
         for family in sorted({pn.family, pk.family}, key=sorted):
             report.extend(ph.check_profile_of_sum(n, k, family))

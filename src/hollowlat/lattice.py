@@ -55,19 +55,26 @@ class AxiomViolation(LatticeError):
     """An action table breaks one of the three action axioms."""
 
 
+_MISSING = object()  # what memo's lookup returns for a key not yet cached
+
+
 def memo(fn):
     """fn(obj, *args), computed once per object and argument tuple.
 
     The value is kept in obj.cache under the key (fn, *args), so it lives
     exactly as long as obj: a process-wide cache would keep every object it
-    has seen alive.  Falsy values are kept like any other.
+    has seen alive.  Falsy values are kept like any other: a hit is one
+    dict lookup that returns anything but the _MISSING sentinel.  A miss
+    costs no raised KeyError, which matters where misses outnumber hits, as
+    on lattice specs, whose every request builds fresh actions.
     """
     @wraps(fn)
     def cached(obj, *args):
         key, cache = (fn, *args), obj.cache
-        if key not in cache:
-            cache[key] = fn(obj, *args)
-        return cache[key]
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = fn(obj, *args)
+        return value
 
     return cached
 

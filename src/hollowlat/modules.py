@@ -19,13 +19,16 @@ these masks, and so is the ideal action: for a prime p, pN is the least
 submodule holding smul(p, g) for the generators g of N.  Everything
 downstream is a query on that lattice: inclusion reads its order rows, sums
 and intersections its join and meet tables, ideal products its action table,
-and the class predicates are lattice and spectrum queries.  A quotient M/K
-is the interval [K, M] of that lattice, so the lifting predicate reads
-smallness in upper intervals and builds no quotient.  The explicit coset
-structure (CosetModule, quotient_module) stays public for the tests to
-compare against; its submodules are the images of the submodules of M that
-contain K (the correspondence theorem).  The brute-force definitions on
-member sets live in tests/oracles.py.
+and the class predicates are lattice and spectrum queries.  The annihilators
+are a per-index table memoized on the module, read off the action table in
+one pass, and each ring builds its ideals once, so callers that work on
+lattice indices (the ps-hollow checkers) need no Submodule or Ideal per
+query.  A quotient M/K is the interval [K, M] of that lattice, so the
+lifting predicate reads smallness in upper intervals and builds no
+quotient.  The explicit coset structure (CosetModule, quotient_module) stays
+public for the tests to compare against; its submodules are the images of
+the submodules of M that contain K (the correspondence theorem).  The
+brute-force definitions on member sets live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .lattice import (
     make_action,
     memo,
 )
-from .spectra import is_kind, spectrum
+from .spectra import is_kind, spectrum, spectrum_mask
 
 DEFAULT_ORDER_BOUND = 4096
 
@@ -108,6 +111,13 @@ class Ring:
         return tuple(p for p, _ in _factor(self.n))
 
     def ideals(self) -> tuple["Ideal", ...]:
+        """The ideals (d) by ascending divisor d; ideal j is poset element j of an action."""
+        return self._ideals
+
+    @cached_property
+    def _ideals(self) -> tuple["Ideal", ...]:
+        # Built and validated once per ring; the profiles and annihilators
+        # hand out these objects.
         return tuple(Ideal(self, d) for d in self.divisors)
 
     def unit_ideal(self) -> "Ideal":
@@ -346,19 +356,30 @@ def enumerate_submodules(module) -> tuple[Submodule, ...]:
 
 @memo
 def _enumeration(module) -> tuple[tuple[Submodule, ...], list[int]]:
-    """The submodules in canonical order, and the masks containing[x]."""
-    ordered = sorted(_member_sets(module), key=lambda m: (len(m), sorted(m)))
+    """The submodules in canonical order, and the masks containing[x].
+
+    Each member set is sorted once, for its key and for its generator scan;
+    two member sets never share a key, so the sets themselves are never
+    compared.  The scan of submodule i stops once the generators span it:
+    from then on every member lies in it and adds no generator.
+    """
+    ranked = sorted([(len(m), sorted(m), m) for m in _member_sets(module)])
+    ordered = [members for *_, members in ranked]
     containing = [0] * module.size
     for i, members in enumerate(ordered):
         for x in members:
             containing[x] |= 1 << i
     subs = []
-    for i, members in enumerate(ordered):
-        gens, least = [], 0
-        for m in sorted(members):
+    for i, (_, ascending, members) in enumerate(ranked):
+        # held is _holding(containing, gens), narrowed by one AND per generator.
+        gens, held, least = [], containing[0], 0
+        for m in ascending:
+            if least == i:
+                break
             if m not in ordered[least]:
                 gens.append(m)
-                least = _least(containing, gens)
+                held &= containing[m]
+                least = (held & -held).bit_length() - 1
         subs.append(Submodule(module, members, tuple(gens), i))
     return tuple(subs), containing
 
@@ -478,10 +499,15 @@ def sum_of(a: Submodule, b: Submodule) -> Submodule:
 
 def sum_all(module, summands) -> Submodule:
     subs, lat, _ = _bridge(module)
-    total = lat.bottom
-    for s in summands:
-        total = lat.join(total, s.index)
-    return subs[total]
+    return subs[_join_all(lat, [s.index for s in summands])]
+
+
+def _join_all(lat: FiniteLattice, elements) -> int:
+    """The join of the lattice elements; the bottom for none."""
+    joins, total = lat.join_table, lat.bottom
+    for x in elements:
+        total = joins[total][x]
+    return total
 
 
 def intersect(a: Submodule, b: Submodule) -> Submodule:
@@ -512,20 +538,38 @@ def distinct_ideal_images(module) -> tuple[Submodule, ...]:
 
 def annihilator(sub: Submodule) -> Ideal:
     """The ideal of scalars killing the submodule, generated by the least one."""
-    _, lat, act = _bridge(sub.module)
-    divs = sub.module.ring.divisors
-    # The last divisor, n, generates the zero ideal, which kills everything.
-    s = next(s for s in range(len(divs)) if act.apply(s, sub.index) == lat.bottom)
-    return Ideal(sub.module.ring, divs[s])
+    return sub.module.ring.ideals()[_annihilator_slots(sub.module)[sub.index]]
+
+
+@memo
+def _annihilator_slots(module) -> tuple[int, ...]:
+    """The slot of each submodule's annihilator, by lattice index.
+
+    The annihilator of N is (d) for the first divisor d with (d)N = 0.  One
+    pass over the action table, from the last row up, writes the slot of
+    each row at every submodule the row kills, so the first such row is
+    written last.  The last row, of n, is the zero ideal, which kills
+    everything, so every slot is written.
+    """
+    _, lat, act = _bridge(module)
+    slots = [0] * lat.size
+    for s in reversed(range(len(act.table))):
+        for x, image in enumerate(act.table[s]):
+            if image == lat.bottom:
+                slots[x] = s
+    return tuple(slots)
+
+
+def _kernel(lat: FiniteLattice, row) -> int:
+    # The kernel contains every submodule the row kills, so it is the largest
+    # of them, which comes last in canonical order.
+    return max(x for x in lat.elements() if row[x] == lat.bottom)
 
 
 def kernel_of_ideal(module, ideal: Ideal) -> Submodule:
     """The submodule {m : dm = 0} annihilated by the ideal."""
     subs, lat, act = _bridge(module)
-    row = act.table[_slot(module, ideal)]
-    # The kernel contains every submodule the ideal kills, so it is the largest
-    # of them, which comes last in canonical order.
-    return subs[max(x for x in lat.elements() if row[x] == lat.bottom)]
+    return subs[_kernel(lat, act.table[_slot(module, ideal)])]
 
 
 @memo
@@ -568,15 +612,21 @@ def is_second_submodule(sub: Submodule) -> bool:
     return is_kind(_bridge(sub.module)[2], sub.index, "second")
 
 
+def _simples(lat: FiniteLattice) -> int:
+    """The mask of the simple submodules: exactly zero and N lie in N, so
+    they are the upper covers of zero."""
+    return sum(1 << x for x in lat.upper[lat.bottom])
+
+
 def is_simple(sub: Submodule) -> bool:
     """Exactly two submodules, zero and itself, lie in it."""
-    return _bridge(sub.module)[1].down[sub.index].bit_count() == 2
+    return bool(_simples(_bridge(sub.module)[1]) >> sub.index & 1)
 
 
 def is_semisimple_module(module) -> bool:
     """The sum of all simple submodules is everything."""
-    simples = [s for s in enumerate_submodules(module) if is_simple(s)]
-    return sum_all(module, simples).order == module.size
+    lat = _bridge(module)[1]
+    return _join_all(lat, _bits(_simples(lat))) == lat.top
 
 
 def is_multiplication_module(module) -> bool:
@@ -585,9 +635,16 @@ def is_multiplication_module(module) -> bool:
 
 
 def is_comultiplication_module(module) -> bool:
-    """Every submodule K equals the kernel of its own annihilator."""
-    return all(kernel_of_ideal(module, annihilator(k)) == k
-               for k in enumerate_submodules(module))
+    """Every submodule K equals the kernel of its own annihilator.
+
+    Decided on lattice indices: the kernel of each annihilator slot is
+    found once, and compared with the index of every K with that
+    annihilator.
+    """
+    _, lat, act = _bridge(module)
+    slots = _annihilator_slots(module)
+    kernels = {s: _kernel(lat, act.table[s]) for s in set(slots)}
+    return all(kernels[s] == k for k, s in enumerate(slots))
 
 
 def _meets_distribute(lat: FiniteLattice, pairs) -> bool:
@@ -644,16 +701,14 @@ def is_lifting_module(module) -> bool:
                for n in lat.elements())
 
 
-def _maximal(module, candidates) -> tuple[Submodule, ...]:
-    """The candidates whose up rows hold no other candidate, in their given order."""
-    up = _bridge(module)[1].up
-    mask = sum(1 << s.index for s in candidates)
-    return tuple(s for s in candidates if up[s.index] & mask == 1 << s.index)
+def _maximal(lat: FiniteLattice, mask: int) -> list[int]:
+    """The elements of the mask whose up rows hold no other element of it, ascending."""
+    return [x for x in _bits(mask) if lat.up[x] & mask == 1 << x]
 
 
 def maximal_hollow_submodules(module) -> tuple[Submodule, ...]:
-    subs, _, act = _bridge(module)
-    return _maximal(module, [subs[i] for i in spectrum(act, "hollow")])
+    subs, lat, act = _bridge(module)
+    return tuple(subs[x] for x in _maximal(lat, spectrum_mask(act, "hollow")))
 
 
 def is_s_lifting_module(module) -> bool:

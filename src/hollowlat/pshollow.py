@@ -15,7 +15,13 @@ and no summand is contained in the sum of the others.
 The check_* functions verify the structural laws of this theory on concrete
 modules.  Each one first decides its hypotheses by brute force and reports
 hypothesis-unmet findings when they fail; mathematical failures become fail
-verdicts with witnesses, never exceptions.
+verdicts with witnesses, never exceptions.  They take submodules and return
+reports, but decide every instance on lattice indices: they read the
+module's lattice and action once, inclusion is one bit of an up row, sums
+and intersections are join and meet table lookups, zero is the bottom,
+annihilators are a per-index table, and ps-hollow and second are one bit
+of a spectrum mask.  Names and ideals are built only for the strings a
+report prints.
 """
 
 from __future__ import annotations
@@ -23,39 +29,35 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .lattice import irredundant_families, lower_interval, memo
+from .lattice import _bits, irredundant_families, lower_interval, memo
 from .modules import (
     Ideal,
     ModuleError,
     Submodule,
     ZeroSubmodule,
+    _annihilator_slots,
     _bridge,
     _factor,
+    _join_all,
     _maximal,
-    annihilator,
+    _simples,
+    _small_in,
     distinct_ideal_images,
     enumerate_submodules,
     find_minimal_second_representations,
-    find_second_submodules,
     ideal_set_names,
-    intersect,
     is_comultiplication_module,
     is_distributive_module,
     is_multiplication_module,
-    is_second_submodule,
     is_semisimple_module,
-    is_simple,
     is_small,
-    small_within,
     submodule_lattice,
-    submodules_within,
     sum_all,
-    sum_of,
-    whole_module,
 )
 from .report import Report
-from .spectra import is_kind, spectrum
+from .spectra import is_kind, spectrum, spectrum_mask
 
 NONSMALL_READING_FLAG = (
     "non-small inheritance reads smallness of K inside N; the moreover clause "
@@ -99,8 +101,9 @@ class HollowProfile:
     hull: Submodule
     ps_hollow: bool
 
-    @property
+    @cached_property
     def family(self) -> frozenset[int]:
+        """The divisors of the minimal covers; computed on first read."""
         return frozenset(i.d for i in self.min_covers)
 
     @property
@@ -138,28 +141,27 @@ def profile(sub: Submodule) -> HollowProfile:
 @memo
 def _profile(module, x: int) -> HollowProfile:
     """The profile of the nonzero submodule with index x, memoized on the module."""
-    lat, act = submodule_lattice(module)
-    poset = act.poset
-    covers = [s for s in poset.elements() if lat.le(x, act.top_image(s))]
+    subs, lat, act = _bridge(module)
+    poset, row, meets = act.poset, lat.up[x], lat.meet_table
+    tops = [images[lat.top] for images in act.table]
+    covers = [s for s, t in enumerate(tops) if row >> t & 1]
     above = 0  # the covers with another cover strictly below them
     for s in covers:
         above |= poset.up[s] & ~(1 << s)
     min_covers = [s for s in covers if not above >> s & 1]
     hull = lat.top
     for s in min_covers:
-        hull = lat.meet(hull, act.top_image(s))
+        hull = meets[hull][tops[s]]
     ideals = module.ring.ideals()
-    subs = enumerate_submodules(module)
     return HollowProfile(subs[x], tuple(ideals[s] for s in covers),
                          tuple(ideals[s] for s in min_covers), subs[hull],
-                         is_ps_hollow(subs[x]))
+                         bool(spectrum_mask(act, "ps_hollow") >> x & 1))
 
 
 def find_ps_hollow_submodules(module) -> tuple[tuple[Submodule, HollowProfile], ...]:
     """All ps-hollow submodules with their profiles, in canonical order."""
-    subs = enumerate_submodules(module)
-    return tuple((subs[i], profile(subs[i]))
-                 for i in spectrum(submodule_lattice(module)[1], "ps_hollow"))
+    subs, _, act = _bridge(module)
+    return tuple((subs[x], _profile(module, x)) for x in spectrum(act, "ps_hollow"))
 
 
 def is_hollow_ideal(ideal: Ideal) -> bool:
@@ -192,23 +194,27 @@ def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> 
     Requires incomparable ps-hollow inputs and a family drawn from the
     associated hollow ideals of the module; raises HypothesisUnmet otherwise.
     """
-    if n.module is not k.module:
+    module = n.module
+    if module is not k.module:
         raise HypothesisUnmet("submodules live in different modules")
-    if n.le(k) or k.le(n):
+    _, lat, act = _bridge(module)
+    x, y = n.index, k.index
+    if lat.up[x] >> y & 1 or lat.up[y] >> x & 1:
         raise HypothesisUnmet(f"{n.name} and {k.name} are comparable")
-    if not (is_ps_hollow(n) and is_ps_hollow(k)):
+    # Zero lies below everything, so neither input is zero here.
+    hollow = spectrum_mask(act, "ps_hollow")
+    if not hollow >> x & hollow >> y & 1:
         raise HypothesisUnmet("both submodules must be ps-hollow")
-    if not family <= _associated_families(n.module):
+    if not family <= _associated_families(module):
         raise HypothesisUnmet("family is not drawn from the associated hollow ideals")
 
-    def is_family(sub: Submodule) -> bool:
-        return is_ps_hollow(sub) and profile(sub).family == family
+    def is_family(z: int) -> bool:
+        return bool(hollow >> z & 1) and _profile(module, z).family == family
 
-    total = sum_of(n, k)
-    lhs = is_family(total)
-    rhs = is_family(n) and is_family(k)
-    name = ideal_set_names(Ideal(n.module.ring, d) for d in sorted(family))
-    rep = Report(subject=f"{n.module.describe()}: profile of sum")
+    lhs = is_family(lat.join_table[x][y])
+    rhs = is_family(x) and is_family(y)
+    name = ideal_set_names(Ideal(module.ring, d) for d in family)
+    rep = Report(subject=f"{module.describe()}: profile of sum")
     rep.check(f"profile_sum.{n.name}+{k.name}.{name}", lhs == rhs,
               f"sum_matches={lhs}", f"parts_match={rhs}")
     return rep
@@ -235,24 +241,28 @@ class Representation:
         return "+".join(s.name for s in self.summands)
 
 
-def _rest_sums(module, summands) -> list[Submodule]:
-    """For each summand, the sum of all the others."""
-    return [sum_all(module, summands[:j] + summands[j + 1:]) for j in range(len(summands))]
+def _rest_joins(lat, xs) -> list[int]:
+    """For each of the elements xs, the join of all the others."""
+    return [_join_all(lat, xs[:j] + xs[j + 1:]) for j in range(len(xs))]
 
 
 def minimality_witnesses(module, summands) -> tuple[str, ...]:
     """Violations of the two minimality conditions, empty when minimal.
 
     The summand hulls must be pairwise incomparable, and no summand may lie
-    in the sum of the others.
+    in the sum of the others.  Both are bit tests on up rows.
     """
+    lat = _bridge(module)[1]
+    up = lat.up
     out = []
-    for a, b in itertools.combinations(summands, 2):
-        ha, hb = profile(a).hull, profile(b).hull
-        if ha.le(hb) or hb.le(ha):
-            out.append(f"hull({a.name})~hull({b.name})")
-    for s, rest in zip(summands, _rest_sums(module, summands)):
-        if s.le(rest):
+    if len(summands) > 1:  # a lone summand has no pair of hulls to compare
+        hulls = [profile(s).hull.index for s in summands]
+        for (a, ha), (b, hb) in itertools.combinations(zip(summands, hulls), 2):
+            if up[ha] >> hb & 1 or up[hb] >> ha & 1:
+                out.append(f"hull({a.name})~hull({b.name})")
+    xs = [s.index for s in summands]
+    for s, x, rest in zip(summands, xs, _rest_joins(lat, xs)):
+        if up[x] >> rest & 1:
             out.append(f"{s.name}<=rest")
     return tuple(out)
 
@@ -266,16 +276,18 @@ def make_representation(module, summands) -> Representation:
     summands = tuple(summands)
     if not summands:
         raise ValueError("a representation needs at least one summand")
+    _, lat, act = _bridge(module)
+    hollow = spectrum_mask(act, "ps_hollow")
     for s in summands:
         if s.module is not module:
             raise ValueError("summand lives in a different module")
-        if s.is_zero:
+        if s.index == lat.bottom:
             raise ZeroSubmodule("zero cannot be a summand")
-        if not is_ps_hollow(s):
+        if not hollow >> s.index & 1:
             raise ValueError(f"summand {s.name} is not ps-hollow")
-    if sum_all(module, summands).order != module.size:
+    if _join_all(lat, [s.index for s in summands]) != lat.top:
         raise ValueError("summands do not sum to the whole module")
-    profs = tuple(profile(s) for s in summands)
+    profs = tuple(_profile(module, s.index) for s in summands)
     return Representation(module, summands, profs, not minimality_witnesses(module, summands))
 
 
@@ -289,12 +301,14 @@ def minimize(rep: Representation) -> Representation:
     StepFailed naming the step and witnesses.
     """
     module = rep.module
+    lat = _bridge(module)[1]
     parts = list(rep.summands)
     while True:
         parts.sort(key=lambda s: s.index)
 
-        redundant = next((j for j, rest in enumerate(_rest_sums(module, parts))
-                          if parts[j].le(rest)), None)
+        xs = [s.index for s in parts]
+        redundant = next((j for j, rest in enumerate(_rest_joins(lat, xs))
+                          if lat.up[xs[j]] >> rest & 1), None)
         if redundant is not None:
             del parts[redundant]
             continue
@@ -414,6 +428,7 @@ def verify_second_uniqueness(r1: Representation, r2: Representation) -> Report:
         raise HypothesisUnmet("representations have different lengths")
     pairs = _align_by_family(r1, r2)
     families = [p1.family for p1, _ in pairs]
+    hollow = spectrum_mask(_bridge(r1.module)[2], "ps_hollow")
     rep = Report(subject=f"{r1.module.describe()}: second uniqueness "
                          f"[{r1.names()}] vs [{r2.names()}]")
     rep.flag(FAMILY_ORDER_FLAG)
@@ -421,7 +436,7 @@ def verify_second_uniqueness(r1: Representation, r2: Representation) -> Report:
         if any(other < p1.family for other in families):
             continue
         same = p1.submodule.index == p2.submodule.index
-        hull_ps = is_ps_hollow(p1.hull) if not p1.hull.is_zero else False
+        hull_ps = bool(hollow >> p1.hull.index & 1)
         rep.check(f"second_uniqueness.{p1.family_name}", same or not hull_ps,
                   f"left={p1.submodule.name}", f"right={p2.submodule.name}",
                   f"hull_ps_hollow={hull_ps}")
@@ -433,8 +448,8 @@ def check_aligned_equality(r1: Representation, r2: Representation) -> Report:
     _require_minimal_pair(r1, r2)
     rep = Report(subject=f"{r1.module.describe()}: aligned equality "
                          f"[{r1.names()}] vs [{r2.names()}]")
-    hulls = [p.hull for p in r1.profiles + r2.profiles]
-    not_ps = [h.name for h in hulls if h.is_zero or not is_ps_hollow(h)]
+    hollow = spectrum_mask(_bridge(r1.module)[2], "ps_hollow")
+    not_ps = [p.hull.name for p in r1.profiles + r2.profiles if not hollow >> p.hull.index & 1]
     if len(r1.summands) != len(r2.summands):
         rep.gate("aligned_equality", "lengths-differ")
         return rep
@@ -477,8 +492,10 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     rep = Report(subject=f"{module.describe()}: non-small inheritance in {sub.name}")
     rep.flag(NONSMALL_READING_FLAG)
     claim = f"nonsmall_inheritance.{sub.name}"
+    subs, lat, act = _bridge(module)
+    x = sub.index
     unmet = []
-    if sub.is_zero or not is_ps_hollow(sub):
+    if not spectrum_mask(act, "ps_hollow") >> x & 1:
         unmet.append(f"{sub.name}-not-ps-hollow")
     outside = _nonsmall_outside_images(module)
     if outside:
@@ -486,26 +503,34 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     if unmet:
         rep.gate(claim, *unmet)
         return rep
-    prof = profile(sub)
-    for k in submodules_within(sub):
-        if small_within(k, sub):
+    prof = _profile(module, x)
+    for k in _bits(lat.down[x]):
+        # Zero is small everywhere, so every k left is nonzero.
+        if _small_in(lat, k, lat.bottom, x):
             continue
-        kp = profile(k)
+        kp = _profile(module, k)
         ok = kp.ps_hollow and kp.family == prof.family and kp.covers == prof.covers
-        rep.check(f"{claim}.{k.name}", ok,
+        rep.check(f"{claim}.{subs[k].name}", ok,
                   f"ps_hollow={kp.ps_hollow}", f"family={kp.family_name}",
                   f"covers={ideal_set_names(kp.covers)}")
     return rep
 
 
 def _four_equivalents(module) -> dict[str, bool]:
+    _, lat, act = _bridge(module)
+    simples = _simples(lat)
     return {
         "multiplication": is_multiplication_module(module),
-        "ps_hollow_all_simple": all(is_simple(s)
-                                    for s, _ in find_ps_hollow_submodules(module)),
-        "second_all_simple": all(is_simple(k) for k in find_second_submodules(module)),
+        "ps_hollow_all_simple": not spectrum_mask(act, "ps_hollow") & ~simples,
+        "second_all_simple": not spectrum_mask(act, "second") & ~simples,
         "comultiplication": is_comultiplication_module(module),
     }
+
+
+def _annihilator_divisors(module, xs) -> list[int]:
+    """The divisor d with annihilator (d) of each submodule index in xs."""
+    slots, divs = _annihilator_slots(module), module.ring.divisors
+    return [divs[slots[x]] for x in xs]
 
 
 def check_semisimple_equivalences(module) -> Report:
@@ -514,21 +539,20 @@ def check_semisimple_equivalences(module) -> Report:
     The conditions: the module is multiplication; every ps-hollow submodule is
     simple; every second submodule is simple; the module is comultiplication.
     Separation means no maximal second submodule is redundant in the
-    intersection of their annihilators.
+    intersection of their annihilators.  The intersection of the ideals (d)
+    is (lcm of the d).
     """
     rep = Report(subject=f"{module.describe()}: semisimple equivalences")
     unmet = []
     if not is_semisimple_module(module):
         unmet.append("not-semisimple")
-    maximal = _maximal(module, find_second_submodules(module))
-    ann_whole = annihilator(whole_module(module))
-    for n in maximal:
-        rest = module.ring.unit_ideal()
-        for k in maximal:
-            if k.index != n.index:
-                rest = rest.intersect(annihilator(k))
-        if rest.d == ann_whole.d:
-            unmet.append(f"annihilator-separation-fails-at:{n.name}")
+    subs, lat, act = _bridge(module)
+    maximal = _maximal(lat, spectrum_mask(act, "second"))
+    anns = _annihilator_divisors(module, maximal)
+    (ann_whole,) = _annihilator_divisors(module, [lat.top])
+    for j, x in enumerate(maximal):
+        if math.lcm(*anns[:j], *anns[j + 1:]) == ann_whole:
+            unmet.append(f"annihilator-separation-fails-at:{subs[x].name}")
     if unmet:
         rep.gate("semisimple_equivalences", *unmet)
         return rep
@@ -554,7 +578,7 @@ def check_second_rep_equivalences(module) -> Report:
         unmet.append("not-second-representable")
         rep.gate("second_rep_equivalences", *unmet)
         return rep
-    att_sets = [frozenset(annihilator(k).d for k in r) for r in reps]
+    att_sets = [frozenset(_annihilator_divisors(module, [k.index for k in r])) for r in reps]
     rep.check("second_rep_attached_consistent", len(set(att_sets)) == 1,
               *(ideal_set_names(Ideal(module.ring, d) for d in s)
                 for s in sorted(set(att_sets), key=sorted)))
@@ -605,33 +629,37 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
                          f"[{'+'.join(s.name for s in summands)}]")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
+    subs, lat, act = _bridge(module)
+    up, meets, bottom = lat.up, lat.meet_table, lat.bottom
+    xs = [s.index for s in summands]
+    hollow = spectrum_mask(act, "ps_hollow")
     unmet = []
-    if not summands or sum_all(module, summands).order != module.size:
+    if not summands or _join_all(lat, xs) != lat.top:
         unmet.append("summands-do-not-sum-to-module")
-    if any(s.is_zero for s in summands):
+    if bottom in xs:
         unmet.append("zero-summand")
 
     if part == 1:
         claim = "direct_sum.second_route"
-        rests = _rest_sums(module, summands)
+        rests = _rest_joins(lat, xs)
         if not unmet:
-            if not all(is_second_submodule(s) for s in summands):
+            second = spectrum_mask(act, "second")
+            if not all(second >> x & 1 for x in xs):
                 unmet.append("summands-not-all-second")
-            if any(s.le(rest) for s, rest in zip(summands, rests)):
+            if any(up[x] >> rest & 1 for x, rest in zip(xs, rests)):
                 unmet.append("redundant-summand")
-            if not _annihilators_incomparable([annihilator(k).d for k in summands]):
+            if not _annihilators_incomparable(_annihilator_divisors(module, xs)):
                 unmet.append("attached-annihilators-comparable")
         if not unmet:
-            for s, rest in zip(summands, rests):
-                inter = intersect(s, rest)
-                if not inter.is_zero and not is_ps_hollow(inter):
+            for s, x, rest in zip(summands, xs, rests):
+                inter = meets[x][rest]
+                if inter != bottom and not hollow >> inter & 1:
                     unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
         if unmet:
             rep.gate(claim, *unmet)
             return rep
         direct = _is_direct(module, summands)
-        pairwise = all(intersect(a, b).is_zero
-                       for a, b in itertools.combinations(summands, 2))
+        pairwise = all(meets[a][b] == bottom for a, b in itertools.combinations(xs, 2))
         rep.check(claim, direct == pairwise,
                   f"direct={direct}", f"pairwise_zero={pairwise}")
         return rep
@@ -641,24 +669,22 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
     if not unmet:
         if not is_distributive_module(module):
             unmet.append("not-distributive")
-        if any(not is_ps_hollow(s) for s in summands):
+        if any(not hollow >> x & 1 for x in xs):
             unmet.append("summand-not-ps-hollow")
         elif minimality_witnesses(module, summands):
             unmet.append("representation-not-minimal")
     if not unmet:
-        _, act = submodule_lattice(module)
-        for s in summands:
-            fam = profile(s).family
-            # Member i of the interval [0, s] is the i-th submodule within s.
-            inner = lower_interval(act, s.index)[1]
-            for i, x in enumerate(submodules_within(s)):
-                if x.is_zero:
+        for s, x in zip(summands, xs):
+            fam = _profile(module, x).family
+            # Member i of the interval [0, s] is the i-th submodule within s;
+            # the mask leaves out the interval's top, s itself.
+            irreducible = spectrum_mask(lower_interval(act, x)[1], "strongly_irreducible")
+            for i, y in enumerate(_bits(lat.down[x])):
+                if y == bottom or irreducible >> i & 1:
                     continue
-                if x.index != s.index and is_kind(inner, i, "strongly_irreducible"):
+                if hollow >> y & 1 and _profile(module, y).family == fam:
                     continue
-                if is_ps_hollow(x) and profile(x).family == fam:
-                    continue
-                unmet.append(f"submodule-alternative-fails:{x.name}-in-{s.name}")
+                unmet.append(f"submodule-alternative-fails:{subs[y].name}-in-{s.name}")
     return _gate_or_check_direct(rep, claim, unmet, module, summands)
 
 
@@ -668,16 +694,18 @@ def check_hull_disjoint_directness(module, representation: Representation) -> Re
     rep = Report(subject=f"{module.describe()}: hull-disjoint directness "
                          f"[{representation.names()}]")
     claim = "hull_disjoint_direct"
+    subs, lat, act = _bridge(module)
+    # Every nonzero submodule that is not ps-hollow: zero's bit is clear in the mask.
+    not_hollow = ~spectrum_mask(act, "ps_hollow") & ~(1 << lat.bottom)
     unmet = []
     if not representation.minimal:
         unmet.append("representation-not-minimal")
     for s in representation.summands:
-        bad = [x.name for x in submodules_within(s)
-               if not x.is_zero and not is_ps_hollow(x)]
+        bad = [subs[x].name for x in _bits(lat.down[s.index] & not_hollow)]
         if bad:
             unmet.append(f"submodules-of-{s.name}-not-all-ps-hollow:" + ",".join(bad))
     for p, q in itertools.combinations(representation.profiles, 2):
-        if not intersect(p.hull, q.hull).is_zero:
+        if lat.meet_table[p.hull.index][q.hull.index] != lat.bottom:
             unmet.append(f"hulls-overlap:{p.hull.name}&{q.hull.name}")
     return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)
 
@@ -688,13 +716,15 @@ def check_hull_inheritance_directness(module, representation: Representation) ->
     rep = Report(subject=f"{module.describe()}: hull-inheritance directness "
                          f"[{representation.names()}]")
     claim = "hull_inheritance_direct"
+    subs, lat, act = _bridge(module)
+    hollow = spectrum_mask(act, "ps_hollow")
     unmet = []
     if not representation.minimal:
         unmet.append("representation-not-minimal")
     for prof in representation.profiles:
-        for x in submodules_within(prof.hull):
-            if x.is_zero:
+        for x in _bits(lat.down[prof.hull.index]):
+            if x == lat.bottom:
                 continue
-            if not is_ps_hollow(x) or profile(x).family != prof.family:
-                unmet.append(f"hull-submodule-breaks-family:{x.name}-in-{prof.hull.name}")
+            if not hollow >> x & 1 or _profile(module, x).family != prof.family:
+                unmet.append(f"hull-submodule-breaks-family:{subs[x].name}-in-{prof.hull.name}")
     return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)

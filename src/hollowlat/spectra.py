@@ -159,12 +159,21 @@ def is_kind(action: PosetAction, x: int, kind: str) -> bool:
     return not _violations(action, kind) >> x & 1
 
 
-def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
-    """Sorted identifiers of all elements of the given kind."""
+def spectrum_mask(action: PosetAction, kind: str) -> int:
+    """The elements of the given kind as one bitmask: bit x is set when x has it.
+
+    The excluded endpoint's bit is clear, so a bit test on this mask is
+    is_kind on every element of the kind's domain.
+    """
     lat = action.lattice
     excluded = lat.top if kind in UPPER_KINDS else lat.bottom
     domain = ((1 << lat.size) - 1) & ~(1 << excluded)
-    return tuple(_bits(domain & ~_violations(action, kind)))
+    return domain & ~_violations(action, kind)
+
+
+def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
+    """Sorted identifiers of all elements of the given kind."""
+    return tuple(_bits(spectrum_mask(action, kind)))
 
 
 @dataclass(frozen=True)

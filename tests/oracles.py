@@ -9,8 +9,9 @@ replaced; every sum, meet, ideal product and hull here is computed from
 their member sets.
 
 ModuleOracle holds the definitions for one module, among them the profile
-(covers, minimal covers, hull) and strong irreducibility inside a submodule
-that the package reads off the ideal action and a lower interval.  The
+(covers, minimal covers, hull), the annihilator and strong irreducibility
+inside a submodule that the package reads off the ideal action, its
+annihilator table and a lower interval.  The
 hollow-ideal reference tries every pair of divisors.  The search references
 are the exhaustive subset loops the package's pruned depth-first search
 replaced: every combination of candidates is tried, by size, in
@@ -167,6 +168,10 @@ class ModuleOracle:
         for d in self.min_covers(n):
             hull = hull & self.images[d]
         return hull
+
+    def annihilator(self, n):
+        """The first divisor d, ascending, with (d)N = 0; (d) is the annihilator of N."""
+        return next(d for d in self.divisors if self.ideal_product(d, n) == self.zero)
 
     # -- predicates ---------------------------------------------------------------
 

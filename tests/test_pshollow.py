@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import oracles
 import pytest
@@ -9,6 +10,7 @@ from hollowlat.modules import (
     Ideal,
     Ring,
     ZeroSubmodule,
+    annihilator,
     enumerate_submodules,
     find_minimal_second_representations,
     find_second_submodules,
@@ -320,6 +322,111 @@ class TestSearchAgainstOracle:
                 assert (not minimality_witnesses(m, family)) == expected, family
 
 
+# Klein, Z_2^3 and Z_6 + Z_6: every finding the checkers below emit is
+# recomputed on member sets.
+CHECKER_MODULES = [(2, (2, 2)), (2, (2, 2, 2)), (6, (6, 6))]
+
+
+def ideal_set_name(n, ds):
+    """The report's name of the ideals (d), d in ds, written from the divisors alone."""
+    return "{" + ",".join("(0)" if d == n else f"({d})" for d in sorted(ds)) + "}"
+
+
+def findings(report):
+    return [(f.claim, f.verdict, f.witnesses) for f in report.findings]
+
+
+def second_route_reference(oracle, summands):
+    """The findings of direct-sum criterion 1 on the summands, from member sets."""
+    claim, sets = "direct_sum.second_route", [s.members for s in summands]
+    rests = [oracle.sum(sets[:j] + sets[j + 1:]) for j in range(len(sets))]
+    unmet = []
+    if not sets or oracle.sum(sets) != oracle.whole:
+        unmet.append("summands-do-not-sum-to-module")
+    if oracle.zero in sets:
+        unmet.append("zero-summand")
+    if not unmet:
+        if not all(oracle.second(a) for a in sets):
+            unmet.append("summands-not-all-second")
+        if any(a <= rest for a, rest in zip(sets, rests)):
+            unmet.append("redundant-summand")
+        # (d) and (e) are comparable when one of d and e divides the other.
+        anns = [oracle.annihilator(a) for a in sets]
+        if any(d != e and (d % e == 0 or e % d == 0) for d, e in itertools.combinations(anns, 2)):
+            unmet.append("attached-annihilators-comparable")
+    if not unmet:
+        for s, a, rest in zip(summands, sets, rests):
+            if a & rest != oracle.zero and not oracle.ps_hollow(a & rest):
+                unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
+    if unmet:
+        return [(claim, UNMET, tuple(unmet))]
+    direct = math.prod(map(len, sets)) == oracle.module.size
+    pairwise = all(a & b == oracle.zero for a, b in itertools.combinations(sets, 2))
+    return [(claim, PASS if direct == pairwise else FAIL,
+             (f"direct={direct}", f"pairwise_zero={pairwise}"))]
+
+
+class TestCheckersAgainstOracle:
+    """The index-based checkers against their statements on member sets."""
+
+    @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
+                             ids=[module_id(c) for c in CHECKER_MODULES])
+    def test_profile_of_sum_matches_member_sets(self, ring, factors):
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        nonzero = enumerate_submodules(m)[1:]
+        hollow = {s.index: oracle.ps_hollow(s.members) for s in nonzero}
+        family = {s.index: frozenset(oracle.min_covers(s.members))
+                  for s in nonzero if hollow[s.index]}
+        associated = frozenset().union(*family.values())
+
+        def has_family(members, fam):
+            return oracle.ps_hollow(members) and frozenset(oracle.min_covers(members)) == fam
+
+        checked = 0
+        for n, k in itertools.combinations(nonzero, 2):
+            if n.members <= k.members or k.members <= n.members:
+                with pytest.raises(HypothesisUnmet, match=r"are comparable$"):
+                    check_profile_of_sum(n, k, frozenset())
+                continue
+            if not (hollow[n.index] and hollow[k.index]):
+                with pytest.raises(HypothesisUnmet, match="^both submodules must be ps-hollow$"):
+                    check_profile_of_sum(n, k, frozenset())
+                continue
+            with pytest.raises(HypothesisUnmet, match="^family is not drawn"):
+                check_profile_of_sum(n, k, associated | {0})
+            for fam in {family[n.index], family[k.index]}:
+                lhs = has_family(oracle.add(n.members, k.members), fam)
+                rhs = has_family(n.members, fam) and has_family(k.members, fam)
+                expected = [(f"profile_sum.{n.name}+{k.name}.{ideal_set_name(ring, fam)}",
+                             PASS if lhs == rhs else FAIL,
+                             (f"sum_matches={lhs}", f"parts_match={rhs}"))]
+                assert findings(check_profile_of_sum(n, k, fam)) == expected, (n, k, fam)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
+                             ids=[module_id(c) for c in CHECKER_MODULES])
+    def test_second_route_matches_member_sets(self, ring, factors):
+        # Every second representation, then every pair of nonzero submodules
+        # that sums to the module, which reaches the other gates too.
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        subs = enumerate_submodules(m)
+        by_members = {s.members: s for s in subs}
+        families = [tuple(by_members[s.members] for s in family)
+                    for family in oracles.minimal_second_families(m)]
+        assert families
+        families += [pair for pair in itertools.combinations(subs[1:], 2)
+                     if oracle.add(pair[0].members, pair[1].members) == oracle.whole]
+        verdicts = set()
+        for family in families:
+            expected = second_route_reference(oracle, family)
+            assert findings(check_direct_sum_criteria(m, family, 1)) == expected, family
+            verdicts.add(expected[0][1])
+        assert PASS in verdicts and UNMET in verdicts
+
+
 class TestUniqueness:
     def test_self_pairs_for_small_moduli(self):
         for n in range(2, 40):
@@ -459,6 +566,18 @@ class TestCrossLayerConsistency:
 
     def modules(self):
         return [FiniteModule(Ring(n), factors) for n, factors in self.FIXTURES]
+
+    ANNIHILATOR_MODULES = FIXTURES + ((2, (2, 2, 2)), (6, (6, 6)), (12, (12, 6)), (10, (10, 10)))
+
+    @pytest.mark.parametrize("ring,factors", ANNIHILATOR_MODULES,
+                             ids=[module_id(c) for c in ANNIHILATOR_MODULES])
+    def test_annihilators_match_member_sets(self, ring, factors):
+        module = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(module)
+        for sub in enumerate_submodules(module):
+            got = annihilator(sub)
+            assert got.ring == module.ring
+            assert got.d == oracle.annihilator(sub.members), sub.name
 
     def test_module_and_lattice_ps_hollow_agree(self):
         from hollowlat.modules import submodule_lattice
