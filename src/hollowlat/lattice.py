@@ -6,7 +6,8 @@ checks the three action axioms where a table comes from outside the package:
 the spec parser, the module bridge and the random generator.  The derived
 constructions (dual action, star action, lower intervals, quotients) satisfy
 the axioms by construction, each for the reason its docstring gives, and
-build their tables directly; the tests check them against make_action.
+build their tables directly; the tests check them against make_action, and
+the spectra's interval fold, which reads the lattice's own rows, against them.
 
 Order relations are stored as bitmask rows, one int per element, which keeps
 every predicate a couple of machine ops at desk scale.  There is one

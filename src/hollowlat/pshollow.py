@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import _bits, irredundant_families, lower_interval, memo
+from .lattice import _bits, irredundant_families, memo
 from .modules import (
     Ideal,
     ModuleError,
@@ -57,7 +57,7 @@ from .modules import (
     sum_all,
 )
 from .report import Report
-from .spectra import is_kind, spectrum, spectrum_mask
+from .spectra import _violations, is_kind, spectrum, spectrum_mask
 
 NONSMALL_READING_FLAG = (
     "non-small inheritance reads smallness of K inside N; the moreover clause "
@@ -623,6 +623,15 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
     distributive module in which every submodule of a summand is zero,
     strongly irreducible inside the summand, or shares the summand's covering
     family; it checks that the sum is direct.
+
+    Over Z/nZ, part 1's gates attached-annihilators-comparable and
+    rest-intersection-not-ps-hollow never fire once the others pass; both stay
+    as the theorem's hypotheses.  A second submodule is an elementary abelian
+    p-group with annihilator (p), so attached annihilators are comparable only
+    when equal.  Second summands summing to M make each p-part M_p elementary
+    abelian, and X = N_i meet rest lies in the p-group N_i.  If p does not
+    divide d, X <= M_p = dM_p <= dM; if it does, dM has no p-part, and
+    projecting X <= dM + Y to M_p gives X <= Y.  So X is zero or ps-hollow.
     """
     summands = tuple(summands)
     rep = Report(subject=f"{module.describe()}: direct sum criterion {part} "
@@ -676,12 +685,10 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
     if not unmet:
         for s, x in zip(summands, xs):
             fam = _profile(module, x).family
-            # Member i of the interval [0, s] is the i-th submodule within s;
-            # the mask leaves out the interval's top, s itself.
-            irreducible = spectrum_mask(lower_interval(act, x)[1], "strongly_irreducible")
-            for i, y in enumerate(_bits(lat.down[x])):
-                if y == bottom or irreducible >> i & 1:
-                    continue
+            # The nonzero y <= s not strongly irreducible in the interval [0, s],
+            # by submodule index, and s itself, its top, outside that domain.
+            failing = _violations(act, "strongly_irreducible", bottom, x) | 1 << x
+            for y in _bits(failing & ~(1 << bottom)):
                 if hollow >> y & 1 and _profile(module, y).family == fam:
                     continue
                 unmet.append(f"submodule-alternative-fails:{subs[y].name}-in-{s.name}")

@@ -20,7 +20,9 @@ The ps_ prefix abbreviates "pseudo strongly".  A spectrum is decided whole:
 its quantifiers are exhausted once, for all x at a time as bitmasks, and
 is_kind reads the same masks.  The masks are folded row by row over the meet,
 join and action tables and the order rows, and every quantifier instance is
-still visited.
+still visited.  One fold per kind serves every interval [low, high] of the
+lattice, on the lattice's own rows and numbering, and the whole lattice is
+[bottom, top]: the interval laws of the checkers below build no interval.
 tests/oracles.py keeps the per-element loops.
 """
 
@@ -42,10 +44,8 @@ from .lattice import (
     dual_action,
     is_join_distributive,
     is_multiplication,
-    lower_interval,
     make_action,
     memo,
-    quotient,
     star_action,
     _bits,
 )
@@ -76,66 +76,84 @@ class DomainError(Exception):
 
 
 @memo
-def _violations(action: PosetAction, kind: str) -> int:
-    """Bitmask of the elements at which the defining implication of the kind fails.
+def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
+    """Bitmask of the elements of [low, high] at which the kind's implication fails there.
+
+    [low, high] is a lattice under s.y -> (s.y) join low (lattice._interval),
+    and the whole lattice is [bottom, top].  The fold reads the lattice's own
+    rows in its numbering: an interval is closed under meets and joins, so its
+    table rows are the lattice's read at its members, the bits of up[low] &
+    down[high], and its order rows are the lattice's ANDed with the members.
 
     Each quantifier instance (a, b) or (s, y) is visited once and marks every x
     it refutes: (a, b) refutes strongly hollow on down(a join b) minus down(a)
     minus down(b).  The instances are folded one table row at a time: a pair
     kind reads row a of the meet or join table, a kind of (s, y) row s of the
     action table or the row of s.top, so every term that depends on the row
-    alone, such as the complement of down(a), is taken once per row.  Callers
-    apply the domain.  Masks are memoized on the action.
+    alone, such as the complement of down(a), is taken once per row.  What s
+    refutes as coprime depends on s.top alone, so that fold visits each
+    distinct s.top once.  Callers apply the domain.  Masks are memoized on
+    the action.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     lat, table = action.lattice, action.table
-    up, bottom, top = lat.up, lat.bottom, lat.top
-    tops = [row[top] for row in table]
+    up, size = lat.up, lat.size
+    span = up[low] & lat.down[high]
+    members = range(size) if low == lat.bottom and high == lat.top else tuple(_bits(span))
+    # y -> y join low, which reads no join table when low is the bottom.
+    lift = list(range(size)) if low == lat.bottom else lat.join_table[low]
+    tops = [lift[row[high]] for row in table]
     got = 0
     if kind in ("irreducible", "hollow"):
         # (a, b) refutes m = a meet b (a join b) unless m is a or b.  Row a
         # never refutes a, so it refutes its off-diagonal m minus a.
-        for a, row in enumerate(lat.meet_table if kind == "irreducible" else lat.join_table):
-            acc = 0
-            for b, m in enumerate(row):
+        bounds = lat.meet_table if kind == "irreducible" else lat.join_table
+        for a in members:
+            row, acc = bounds[a], 0
+            for b in members:
+                m = row[b]
                 if m != b:
                     acc |= 1 << m
             got |= acc & ~(1 << a)
     elif kind == "coprime":
-        # s refutes x unless s.top <= x or (s.top) join x = top.  The up row
-        # of a join is the AND of the up rows, and the up row of top is its own bit.
-        only_top = 1 << top
-        for t in tops:
-            row, acc = up[t], 0
-            for x, above in enumerate(up):
-                if row & above != only_top:
+        # s refutes x unless s.top <= x or (s.top) join x = high.  The up row
+        # of a join is the AND of the up rows, and in the interval the up row
+        # of high is its own bit.
+        only_high = 1 << high
+        for t in dict.fromkeys(tops):
+            row, acc = up[t] & span, 0
+            for x in members:
+                if row & up[x] != only_high:
                     acc |= 1 << x
             got |= acc & ~row
     elif kind == "second":
-        # s refutes x unless s.x is x or bottom.
+        # s refutes x unless (s.x) join low is x or the bottom, low.
         for row in table:
-            for x, image in enumerate(row):
-                if image != x and image != bottom:
+            for x in members:
+                image = lift[row[x]]
+                if image != x and image != low:
                     got |= 1 << x
     elif kind == "first":
-        # (s, y) with s.y = bottom != y refutes up(y) minus the kernel of s.
+        # (s, y) with (s.y) join low = low != y refutes up(y) minus the kernel of s.
         for row in table:
             kernel = acc = 0
-            for y, image in enumerate(row):
-                if image == bottom:
+            for y in members:
+                if lift[row[y]] == low:
                     kernel |= 1 << y
-                    if y != bottom:
+                    if y != low:
                         acc |= up[y]
             got |= acc & ~kernel
     else:
         # (p, q) refutes order(row_p[q]) minus order(p) minus order(q), where
         # row_p is row p of the meet or join table, or, for (s, y), the row
-        # of s (prime) or of p = s.top.
+        # of s (prime) or of p = s.top.  (s.y) join low <= x exactly when
+        # s.y <= x, since low <= x, so prime reads the action rows unjoined.
         order = up if kind in UPPER_KINDS else lat.down
         outside = [~mask for mask in order]
         if kind in PAIR_KINDS:
-            rows = enumerate(lat.meet_table if kind in UPPER_KINDS else lat.join_table)
+            bounds = lat.meet_table if kind in UPPER_KINDS else lat.join_table
+            rows = ((a, bounds[a]) for a in members)
         elif kind == "prime":
             rows = zip(tops, table)
         else:
@@ -143,10 +161,10 @@ def _violations(action: PosetAction, kind: str) -> int:
             rows = ((t, bounds[t]) for t in tops)
         for p, row in rows:
             acc = 0
-            for m, beyond in zip(row, outside):
-                acc |= order[m] & beyond
+            for q in members:
+                acc |= order[row[q]] & outside[q]
             got |= acc & outside[p]
-    return got
+    return got & span
 
 
 def is_kind(action: PosetAction, x: int, kind: str) -> bool:
@@ -156,7 +174,7 @@ def is_kind(action: PosetAction, x: int, kind: str) -> bool:
         raise DomainError(f"{kind} is undefined on the top element")
     if x == lat.bottom and kind in LOWER_KINDS:
         raise DomainError(f"{kind} is undefined on the bottom element")
-    return not _violations(action, kind) >> x & 1
+    return not _violations(action, kind, lat.bottom, lat.top) >> x & 1
 
 
 def spectrum_mask(action: PosetAction, kind: str) -> int:
@@ -168,7 +186,7 @@ def spectrum_mask(action: PosetAction, kind: str) -> int:
     lat = action.lattice
     excluded = lat.top if kind in UPPER_KINDS else lat.bottom
     domain = ((1 << lat.size) - 1) & ~(1 << excluded)
-    return domain & ~_violations(action, kind)
+    return domain & ~_violations(action, kind, lat.bottom, lat.top)
 
 
 def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
@@ -202,13 +220,14 @@ def is_topological(lattice: FiniteLattice, designated: frozenset[int] | set[int]
 def _quotient_firsts(action: PosetAction, x: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The first spectrum of the quotient at x, and every class but x's.
 
-    The class of x is the bottom of the quotient.  The quotient at x is all
-    first but the class of x exactly when the two agree.  Parts 3 and 4 of
-    the duality suite both ask this, so the answer is memoized on the action
-    and each quotient is built once.
+    The quotient is the interval [x, top] and its class i its i-th member in
+    ascending identifier order (lattice.quotient), so the bits of the first
+    mask of [x, top] are ranked.  The quotient at x is all first but the class
+    of x exactly when the two agree.  Parts 3 and 4 both ask, so it is memoized.
     """
-    sub, qact = quotient(action, x)
-    return spectrum(qact, "first"), tuple(i for i in range(sub.size) if i != sub.bottom)
+    violations = _violations(action, "first", x, action.lattice.top)
+    classes = [(i, y) for i, y in enumerate(_bits(action.lattice.up[x])) if y != x]
+    return tuple(i for i, y in classes if not violations >> y & 1), tuple(i for i, _ in classes)
 
 
 def check_duality_theorem(action: PosetAction, part: int) -> Report:
@@ -300,12 +319,14 @@ def check_spectrum_identities(action: PosetAction) -> Report:
     rep.check("identity.coprime_star_invariant",
               spectrum(star, "coprime") == spectrum(action, "coprime"))
 
-    first_ok = second_ok = True
+    # 6 and 7 read bit bottom of the masks of [bottom, x], the interval's bottom.
+    bottom, first_ok, second_ok = lat.bottom, True, True
     for x in range(lat.size):
-        if x != lat.bottom:
-            sub, sub_action = lower_interval(action, x)
-            first_ok &= is_kind(action, x, "first") == is_kind(sub_action, sub.bottom, "prime")
-            second_ok &= is_kind(action, x, "second") == is_kind(sub_action, sub.bottom, "coprime")
+        if x != bottom:
+            prime = not _violations(action, "prime", bottom, x) >> bottom & 1
+            coprime = not _violations(action, "coprime", bottom, x) >> bottom & 1
+            first_ok &= is_kind(action, x, "first") == prime
+            second_ok &= is_kind(action, x, "second") == coprime
     rep.check("identity.first_iff_interval_bottom_prime", first_ok)
     rep.check("identity.second_iff_interval_bottom_coprime", second_ok)
     return rep

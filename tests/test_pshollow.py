@@ -327,6 +327,13 @@ class TestSearchAgainstOracle:
 CHECKER_MODULES = [(2, (2, 2)), (2, (2, 2, 2)), (6, (6, 6))]
 
 
+# Every module of a scan for the two second-route gates that the theorem in
+# check_direct_sum_criteria's docstring says never fire over Z/nZ.
+SECOND_ROUTE_MODULES = [(2, (2, 2)), (2, (2, 2, 2)), (2, (2, 2, 2, 2)), (3, (3, 3)),
+                        (3, (3, 3, 3)), (4, (4, 2)), (6, (6, 2)), (6, (6, 6)), (6, (6, 3, 2)),
+                        (10, (10, 10)), (12, (12, 6)), (30, (30, 2)), (12, (12,)), (30, (30,))]
+
+
 def ideal_set_name(n, ds):
     """The report's name of the ideals (d), d in ds, written from the divisors alone."""
     return "{" + ",".join("(0)" if d == n else f"({d})" for d in sorted(ds)) + "}"
@@ -404,6 +411,23 @@ class TestCheckersAgainstOracle:
                 assert findings(check_profile_of_sum(n, k, fam)) == expected, (n, k, fam)
                 checked += 1
         assert checked
+
+    @pytest.mark.parametrize("ring,factors", SECOND_ROUTE_MODULES,
+                             ids=[module_id(c) for c in SECOND_ROUTE_MODULES])
+    def test_second_route_gates_never_fire(self, ring, factors):
+        # Every 2- or 3-member irredundant family of second submodules that
+        # sums to the module meets all of part 1's hypotheses: neither
+        # attached-annihilators-comparable nor rest-intersection-not-ps-hollow
+        # fires, and the check itself passes.
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        by_members = {s.members: s for s in enumerate_submodules(m)}
+        seconds = [by_members[s.members] for s in oracle.subs
+                   if not s.is_zero and oracle.second(s.members)]
+        for family in oracle.search(seconds, oracle.irredundant, 3):
+            if len(family) > 1:
+                (finding,) = check_direct_sum_criteria(m, family, 1).findings
+                assert finding.verdict == PASS, (family, finding.witnesses)
 
     @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
                              ids=[module_id(c) for c in CHECKER_MODULES])

@@ -25,3 +25,23 @@ def test_every_private_function_is_referenced():
     assert defined, f"no private functions found under {SOURCE}"
     stale = sorted(f"{module}:{fn}" for fn, module in defined.items() if fn not in referenced)
     assert stale == []
+
+
+def test_every_imported_name_is_used():
+    # An import that nothing in its module names any more is a leftover.
+    # __init__.py imports only to re-export, so it is left out.
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}:{name}" for name in names if name not in named]
+    assert unused == []

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hollowlat import spectra
 from hollowlat import cli, lattice
 from hollowlat.lattice import (
+    _bits,
+    _interval,
     build_lattice,
     build_poset,
     chain,
@@ -35,6 +37,9 @@ from hollowlat.spectra import (
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
+
+# The submodule lattices the interval fold is checked on besides the reference actions.
+INTERVAL_MODULES = ((12, (12,)), (2, (2, 2, 2)), (6, (6, 6)), (12, (12, 6)), (360, (360,)))
 
 
 def names(module, ids):
@@ -179,17 +184,21 @@ class TestDualityChecks:
         rep = check_duality_theorem(act, 4)
         assert rep.findings[0].verdict == "hypothesis-unmet"
 
-    def test_parts_3_and_4_build_each_quotient_once(self, monkeypatch):
+    def test_parts_3_and_4_fold_each_quotient_once(self, monkeypatch):
         # Every non-top element of a chain under the identity action is prime,
         # and the action is join distributive, so both parts visit every x.
+        # The quotient at x is the interval [x, top], and one memoized counter
+        # stands in for the fold, so a first fold it counts is a memo miss.
         calls = collections.Counter()
-        original = spectra.quotient
+        fold = spectra._violations.__wrapped__
 
-        def counting(action, x):
-            calls[x] += 1
-            return original(action, x)
+        @lattice.memo
+        def counting(action, kind, low, high):
+            if kind == "first" and high == action.lattice.top:
+                calls[low] += 1
+            return fold(action, kind, low, high)
 
-        monkeypatch.setattr(spectra, "quotient", counting)
+        monkeypatch.setattr(spectra, "_violations", counting)
         act = trivial_action(chain(12))
         rep3, rep4 = check_duality_theorem(act, 3), check_duality_theorem(act, 4)
         assert rep3.ok and rep4.ok
@@ -268,3 +277,43 @@ class TestAgainstReference:
                 got = tuple(x for x in lat.elements()
                             if x != excluded and is_kind(other, x, kind))
                 assert got == want, kind
+
+
+def interval_spectrum_mask(act, kind, low, high):
+    """The fold's spectrum of the interval [low, high], in the lattice's numbering."""
+    lat = act.lattice
+    excluded = high if kind in UPPER_KINDS else low
+    members = lat.up[low] & lat.down[high]
+    return members & ~(1 << excluded) & ~spectra._violations(act, kind, low, high)
+
+
+def interval_fold_cases():
+    # The dual numbers every interval against its order, as a lattice spec may.
+    for label, act in oracles.reference_actions():
+        yield pytest.param(act, id=label)
+        yield pytest.param(dual_action(act), id=f"dual {label}")
+    for ring, factors in INTERVAL_MODULES:
+        module = FiniteModule(Ring(ring), factors)
+        yield pytest.param(submodule_lattice(module)[1], id=f"interval {module.describe()}")
+
+
+class TestIntervalFold:
+    """The fold on every interval [low, high] against the interval built whole."""
+
+    @pytest.mark.parametrize("act", interval_fold_cases())
+    def test_every_interval_matches_the_built_interval(self, act):
+        # Member i of the built interval is its i-th member in ascending
+        # identifier order, so its spectra map back through the members.  Lower
+        # intervals and quotients are checked against the reference loops too.
+        lat = act.lattice
+        for low in lat.elements():
+            for high in _bits(lat.up[low]):
+                members = tuple(_bits(lat.up[low] & lat.down[high]))
+                built = _interval(act, low, high)[1]
+                for kind in KINDS:
+                    got = interval_spectrum_mask(act, kind, low, high)
+                    want = sum(1 << members[i] for i in spectrum(built, kind))
+                    assert got == want, (low, high, kind)
+                    if low == lat.bottom or high == lat.top:
+                        reference = oracles.spectrum_reference(built, kind)
+                        assert got == sum(1 << members[i] for i in reference), (low, high, kind)
