@@ -22,11 +22,12 @@ lattice has already built.
 The order kernels take one step per given pair or per cover, not one per
 comparable pair, in any numbering of the elements: the pass that closes an
 order along Kahn's topological order also reduces the given pairs to the
-covers, and an interval takes its covers from the lattice's and closes its
-rows along them.  build_lattice is the lattice constructor for orders from
-outside, and checks every meet and join.  Besides the derived constructions,
-only the module bridge builds a FiniteLattice directly: submodules always
-form a lattice, so it needs no such check.
+covers, and an interval hands the lattice's covers between its members to
+the same pass, so one kernel closes every order.  build_lattice is the
+lattice constructor for orders from outside, and checks every meet and
+join.  Besides the derived constructions, only the module bridge builds a
+FiniteLattice directly: submodules always form a lattice, so it needs no
+such check.
 """
 
 from __future__ import annotations
@@ -477,13 +478,10 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     each through y -> y join low, renumbered, which is the renumbering on
     the interval itself.
 
-    The order rows are built from the lattice's covers.  An interval holds
+    The order rows are closed along the lattice's covers.  An interval holds
     every element between two of its members, so a member's upper covers
-    in the interval are its upper covers in the lattice that lie in it, in
-    the same ascending order.  Its up row is its own bit joined with the up
-    rows of those covers, taken from the top of a linear extension down, and
-    each down row is pushed up along the same covers from the bottom: one
-    step per cover in the interval.
+    in the interval are its upper covers in the lattice that lie in it, and
+    _close_and_check takes one step per such cover.
     """
     lat = action.lattice
     elems = list(_bits(lat.up[low] & lat.down[high]))
@@ -493,25 +491,9 @@ def _interval(action: PosetAction, low: int, high: int) -> tuple[FiniteLattice, 
     renumber = list(map(index.__getitem__, lat.join_table[low])).__getitem__
     # itemgetter with a single key returns the entry itself, not a 1-tuple.
     pick = itemgetter(*elems) if len(elems) > 1 else lambda seq: (seq[low],)
-    size = len(elems)
-    # Down rows grow strictly along every chain, so sorting by their sizes
-    # lists the members in a linear extension.
-    order = sorted(range(size), key=list(map(int.bit_count, pick(lat.down))).__getitem__)
-    up, upper = [0] * size, [()] * size
-    for i in reversed(order):
-        row, covers = 1 << i, []
-        for z in lat.upper[elems[i]]:
-            k = index[z]
-            if k >= 0:  # z <= high
-                covers.append(k)
-                row |= up[k]
-        up[i], upper[i] = row, tuple(covers)
-    down = [1 << i for i in range(size)]
-    for i in order:
-        row = down[i]
-        for k in upper[i]:
-            down[k] |= row
-    sub = FiniteLattice(size, tuple(up), tuple(down), tuple(upper), index[low], index[high])
+    covers = [(i, index[z]) for i, y in enumerate(elems) for z in lat.upper[y] if index[z] >= 0]
+    up, down, upper = _close_and_check(len(elems), covers)
+    sub = FiniteLattice(len(elems), up, down, upper, index[low], index[high])
     table = tuple(tuple(map(renumber, pick(row))) for row in action.table)
     return sub, PosetAction(sub, action.poset, table)
 

@@ -10,7 +10,10 @@ their tops.
 
 A hollow representation writes the module as a finite sum of ps-hollow
 submodules; it is minimal when the summand hulls are pairwise incomparable
-and no summand is contained in the sum of the others.
+and no summand is contained in the sum of the others.  minimize drops
+redundant summands and then merges those that share a covering family; over
+Z/nZ that always ends at the primary decomposition, the only minimal
+representation, as its docstring proves.
 
 The check_* functions verify the structural laws of this theory on concrete
 modules.  Each one first decides its hypotheses by brute force and reports
@@ -54,7 +57,6 @@ from .modules import (
     is_semisimple_module,
     is_small,
     submodule_lattice,
-    sum_all,
 )
 from .report import Report
 from .spectra import _violations, is_kind, spectrum, spectrum_mask
@@ -74,15 +76,6 @@ INNER_IRREDUCIBLE_FLAG = (
 
 class HypothesisUnmet(ModuleError):
     """Inputs violate a checker's stated preconditions."""
-
-
-class StepFailed(ModuleError):
-    """A minimization step could not be completed; carries step and witnesses."""
-
-    def __init__(self, step: str, *witnesses: str):
-        super().__init__(f"step {step} failed: {' '.join(witnesses)}")
-        self.step = step
-        self.witnesses = witnesses
 
 
 @dataclass(frozen=True)
@@ -292,63 +285,41 @@ def make_representation(module, summands) -> Representation:
 
 
 def minimize(rep: Representation) -> Representation:
-    """Reduce a hollow representation to a minimal one.
+    """Reduce a hollow representation to a minimal one: drop, then merge.
 
-    Repeatedly drops redundant summands, merges summands sharing a covering
-    family into their sum, and collapses a pair with comparable hulls into the
-    larger hull.  Merge and collapse must preserve ps-hollowness and the
-    family, which over an Artinian ring they always do; a violation raises
-    StepFailed naming the step and witnesses.
+    Redundant summands are dropped, the lowest index first, until none is
+    left.  Then the summands that share a covering family are merged into
+    their sum.  Over R = Z/nZ this always ends at the primary decomposition,
+    the module's only minimal representation.  Let n = prod p^{k_p}, write
+    M_p for the p-primary part of M and q^k for the q-part of n.
+
+    1. A ps-hollow N lies in one M_p.  (q^k)M is the sum of the primary
+       parts other than M_q.  If N had nonzero parts in both M_p and M_q,
+       then N <= (q^k)M + M_q = M, yet N lies in neither summand.
+    2. Take an irredundant family that sums to M.  Its p-primary summands
+       sum to M_p.  pM_p is small in M_p (it is the Frattini subgroup), so
+       no summand lies in pM_p, or the others would sum to M_p without it.
+       A summand N <= M_p lies in (d)M exactly when it lies in p^v M_p, v
+       the power of p in d, so its covers are the d prime to p.  So its
+       only minimal cover is (n/p^{k_p}), and its family names its prime.
+    3. So merging sums each prime's summands to M_p.  M_p is ps-hollow with
+       that family: projecting M_p <= IM + L onto M_p gives
+       M_p <= IM_p + (L meet M_p), and IM_p is M_p or lies in pM_p.  The M_p
+       are independent and their hulls, the M_p again, are pairwise
+       incomparable, so the result is minimal.  No collapse of comparable
+       hulls is ever needed.
     """
     module = rep.module
-    lat = _bridge(module)[1]
-    parts = list(rep.summands)
-    while True:
-        parts.sort(key=lambda s: s.index)
-
-        xs = [s.index for s in parts]
-        redundant = next((j for j, rest in enumerate(_rest_joins(lat, xs))
-                          if lat.up[xs[j]] >> rest & 1), None)
-        if redundant is not None:
-            del parts[redundant]
-            continue
-
-        groups: dict[frozenset[int], list[Submodule]] = {}
-        for s in parts:
-            groups.setdefault(profile(s).family, []).append(s)
-        merged_any = False
-        for family, group in groups.items():
-            if len(group) < 2:
-                continue
-            merged = sum_all(module, group)
-            if not is_ps_hollow(merged) or profile(merged).family != family:
-                raise StepFailed("merge", *(s.name for s in group),
-                                 f"sum={merged.name}")
-            parts = [s for s in parts if s not in group] + [merged]
-            merged_any = True
-            break
-        if merged_any:
-            continue
-
-        for i, j in itertools.permutations(range(len(parts)), 2):
-            hi, hj = profile(parts[i]).hull, profile(parts[j]).hull
-            if hi.le(hj):
-                if not is_ps_hollow(hj):
-                    raise StepFailed("collapse", f"hull({parts[j].name})={hj.name}",
-                                     "not-ps-hollow")
-                if profile(hj).family != profile(parts[j]).family:
-                    raise StepFailed("collapse", f"hull({parts[j].name})={hj.name}",
-                                     "family-changed")
-                keep = [parts[m] for m in range(len(parts)) if m not in (i, j)]
-                parts = keep + [hj]
-                break
-        else:  # nothing to drop, merge or collapse
-            break
-
-    out = make_representation(module, tuple(parts))
-    if not out.minimal:
-        raise StepFailed("fixpoint", *minimality_witnesses(module, out.summands))
-    return out
+    subs, lat, _ = _bridge(module)
+    xs = sorted(s.index for s in rep.summands)
+    while redundant := [j for j, rest in enumerate(_rest_joins(lat, xs))
+                        if lat.up[xs[j]] >> rest & 1]:
+        del xs[redundant[0]]
+    groups: dict[frozenset[int], list[int]] = {}
+    for x in xs:
+        groups.setdefault(_profile(module, x).family, []).append(x)
+    merged = sorted(_join_all(lat, group) for group in groups.values())
+    return make_representation(module, [subs[x] for x in merged])
 
 
 def enumerate_minimal_representations(module, max_terms: int | None = None

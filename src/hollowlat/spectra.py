@@ -101,9 +101,9 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
     up, size = lat.up, lat.size
     span = up[low] & lat.down[high]
     members = range(size) if low == lat.bottom and high == lat.top else tuple(_bits(span))
-    # y -> y join low, which reads no join table when low is the bottom.
-    lift = list(range(size)) if low == lat.bottom else lat.join_table[low]
-    tops = [lift[row[high]] for row in table]
+    # The up row of a join is the AND of the up rows, so a join with low is
+    # read off up[low], and it is low exactly when the other term is <= low.
+    base, below = up[low], lat.down[low]
     got = 0
     if kind in ("irreducible", "hollow"):
         # (a, b) refutes m = a meet b (a join b) unless m is a or b.  Row a
@@ -117,12 +117,12 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
                     acc |= 1 << m
             got |= acc & ~(1 << a)
     elif kind == "coprime":
-        # s refutes x unless s.top <= x or (s.top) join x = high.  The up row
-        # of a join is the AND of the up rows, and in the interval the up row
-        # of high is its own bit.
+        # s refutes x unless t <= x or t join x = high, where t = (s.high)
+        # join low has the up row up[s.high] & span in the interval, and high
+        # has its own bit.
         only_high = 1 << high
-        for t in dict.fromkeys(tops):
-            row, acc = up[t] & span, 0
+        for row in dict.fromkeys(up[images[high]] & span for images in table):
+            acc = 0
             for x in members:
                 if row & up[x] != only_high:
                     acc |= 1 << x
@@ -131,15 +131,15 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
         # s refutes x unless (s.x) join low is x or the bottom, low.
         for row in table:
             for x in members:
-                image = lift[row[x]]
-                if image != x and image != low:
+                image = row[x]
+                if up[image] & base != up[x] and not below >> image & 1:
                     got |= 1 << x
     elif kind == "first":
         # (s, y) with (s.y) join low = low != y refutes up(y) minus the kernel of s.
         for row in table:
             kernel = acc = 0
             for y in members:
-                if lift[row[y]] == low:
+                if below >> row[y] & 1:
                     kernel |= 1 << y
                     if y != low:
                         acc |= up[y]
@@ -148,17 +148,20 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
         # (p, q) refutes order(row_p[q]) minus order(p) minus order(q), where
         # row_p is row p of the meet or join table, or, for (s, y), the row
         # of s (prime) or of p = s.top.  (s.y) join low <= x exactly when
-        # s.y <= x, since low <= x, so prime reads the action rows unjoined.
+        # s.y <= x, since low <= x, so prime reads the action rows and s.high
+        # unjoined.
         order = up if kind in UPPER_KINDS else lat.down
         outside = [~mask for mask in order]
         if kind in PAIR_KINDS:
             bounds = lat.meet_table if kind in UPPER_KINDS else lat.join_table
             rows = ((a, bounds[a]) for a in members)
         elif kind == "prime":
-            rows = zip(tops, table)
+            rows = ((images[high], images) for images in table)
         else:
+            # p = (s.high) join low is the element whose up row is the AND.
             bounds = lat.meet_table if kind == "ps_irreducible" else lat.join_table
-            rows = ((t, bounds[t]) for t in tops)
+            tops = (up.index(up[images[high]] & base) for images in table)
+            rows = ((p, bounds[p]) for p in tops)
         for p, row in rows:
             acc = 0
             for q in members:

@@ -46,6 +46,12 @@ order.
 The random action reference is the generator loop the package ran before it
 read each lower bound off a row: it marks the entries assigned so far and
 scans the poset order for the elements below s.
+
+small_lattices lists every lattice up to a given size, one per isomorphism
+class, as a corpus that no random draw can miss a case of.  It decides
+lattice-ness from the definition, a least common upper and a greatest
+common lower bound for every pair, not with build_lattice, so the tests can
+check that build_lattice accepts each one.
 """
 
 import functools
@@ -530,3 +536,62 @@ def irredundant_families_reference(lattice, candidates, compatible=None, max_ter
                                          for a, b in itertools.combinations(combo, 2)):
                 out.append(combo)
     return out
+
+
+def _is_lattice_reference(up):
+    """Whether every pair has a least common upper and a greatest common lower bound."""
+    size = len(up)
+    down = [sum(1 << x for x in range(size) if up[x] >> y & 1) for y in range(size)]
+
+    def has_least(bounds, rows):
+        # Some bound lies below (above) every other one.
+        return any(all(rows[c] >> b & 1 for b in _bits(bounds)) for c in _bits(bounds))
+
+    return all(has_least(up[a] & up[b], up) and has_least(down[a] & down[b], down)
+               for a in range(size) for b in range(a + 1, size))
+
+
+def _canonical_rows(up):
+    """The least tuple of up rows, relabelled along a linear extension, over all of them."""
+    size = len(up)
+    down = [sum(1 << x for x in range(size) if up[x] >> y & 1) for y in range(size)]
+    best = []
+
+    def extend(order, placed):
+        if len(order) == size:
+            position = {v: i for i, v in enumerate(order)}
+            rows = tuple(sum(1 << position[w] for w in _bits(up[v])) for v in order)
+            if not best or rows < best[0]:
+                best[:] = [rows]
+            return
+        for v in range(size):
+            if not placed >> v & 1 and down[v] & ~placed == 1 << v:
+                extend(order + [v], placed | 1 << v)
+
+    extend([], 0)
+    return best[0]
+
+
+def small_lattices(max_size):
+    """Every lattice of 1 to max_size elements up to isomorphism, by size.
+
+    Entry n lists the lattices of n elements, each as its tuple of up rows in
+    a numbering along a linear extension, so 0 is the bottom.  A lattice of
+    three or more elements less an atom is still a lattice, so each one is a
+    smaller lattice with a new atom put below a nonempty up-set U that misses
+    the bottom (Heitzig and Reinhold, "Counting finite lattices", Algebra
+    Universalis 48, 2002).  Each is kept once, in the form _canonical_rows
+    gives it.
+    """
+    corpus = [[], [(1,)], [(0b11, 0b10)]]
+    for size in range(3, max_size + 1):
+        atom, found = size - 1, set()
+        for up in corpus[-1]:
+            for mask in range(2, 1 << atom, 2):
+                if any(up[x] & ~mask for x in _bits(mask)):
+                    continue  # not an up-set
+                rows = (up[0] | 1 << atom,) + up[1:] + (1 << atom | mask,)
+                if _is_lattice_reference(rows):
+                    found.add(_canonical_rows(rows))
+        corpus.append(sorted(found))
+    return corpus[:max_size + 1]

@@ -322,6 +322,74 @@ class TestSearchAgainstOracle:
                 assert (not minimality_witnesses(m, family)) == expected, family
 
 
+def primary_parts(module):
+    """{p: (p^k, M_p)} for the p-parts p^k of n with M_p nonzero, as member sets.
+
+    M_p is every element that p^k kills.
+    """
+    n, parts = module.ring.n, {}
+    for p in range(2, n + 1):
+        if n % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        pk = p
+        while n % (pk * p) == 0:
+            pk *= p
+        part = frozenset(x for x in range(module.size) if module.smul(pk, x) == module.zero)
+        if len(part) > 1:
+            parts[p] = (pk, part)
+    return parts
+
+
+class TestPrimaryDecomposition:
+    """The theorem in minimize's docstring, on member sets.
+
+    Over Z/nZ every ps-hollow submodule lies in one primary part M_p, and
+    from every ps-hollow family that sums to M minimize ends at the M_p.
+    """
+
+    @pytest.mark.parametrize("ring,factors", ORACLE_MODULES,
+                             ids=[module_id(c) for c in ORACLE_MODULES])
+    def test_ps_hollow_submodules_lie_in_one_primary_part(self, ring, factors):
+        # Only a summand of an irredundant family must lie outside p M_p: in
+        # Z_4, (2) is ps-hollow and is 2 M_2.  Each has one minimal cover all
+        # the same.
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        parts = primary_parts(m).values()
+        for sub in oracle.subs:
+            if sub.is_zero or not oracle.ps_hollow(sub.members):
+                continue
+            assert sum(sub.members <= part for _, part in parts) == 1, sub.name
+            assert len(oracle.min_covers(sub.members)) == 1, sub.name
+
+    @pytest.mark.parametrize("ring,factors", ORACLE_MODULES,
+                             ids=[module_id(c) for c in ORACLE_MODULES])
+    def test_minimize_ends_at_the_primary_decomposition(self, ring, factors):
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        parts = primary_parts(m)
+        want = {part for _, part in parts.values()}
+        hollows = [s for s in enumerate_submodules(m)
+                   if not s.is_zero and oracle.ps_hollow(s.members)]
+        for size in (1, 2, 3):
+            for family in itertools.combinations(hollows, size):
+                if oracle.sum(s.members for s in family) != oracle.whole:
+                    continue
+                if oracle.irredundant(family):
+                    # Each summand lies outside p M_p, so (n/p^k) is its one minimal cover.
+                    for s in family:
+                        p = next(p for p, (_, part) in parts.items() if s.members <= part)
+                        pk, part = parts[p]
+                        assert not s.members <= oracle.ideal_product(p, part), s.name
+                        assert oracle.min_covers(s.members) == [ring // pk], s.name
+                got = minimize(make_representation(m, family))
+                assert {s.members for s in got.summands} == want, family
+                assert got.minimal
+        # It is the only minimal representation.
+        reps = enumerate_minimal_representations(m)
+        assert [{s.members for s in rep.summands} for rep in reps] == [want]
+
+
 # Klein, Z_2^3 and Z_6 + Z_6: every finding the checkers below emit is
 # recomputed on member sets.
 CHECKER_MODULES = [(2, (2, 2)), (2, (2, 2, 2)), (6, (6, 6))]

@@ -1,4 +1,5 @@
 import collections
+import functools
 import random
 
 import oracles
@@ -14,6 +15,7 @@ from hollowlat.lattice import (
     build_poset,
     chain,
     dual_action,
+    is_join_distributive,
     is_multiplication,
     lower_interval,
     make_action,
@@ -22,6 +24,7 @@ from hollowlat.lattice import (
     trivial_action,
 )
 from hollowlat.modules import FiniteModule, Ring, enumerate_submodules, submodule_lattice
+from hollowlat.report import Report
 from hollowlat.spectra import (
     KINDS,
     UPPER_KINDS,
@@ -205,6 +208,18 @@ class TestDualityChecks:
         assert len(rep3.findings) == len(rep4.findings) == 11
         assert calls == collections.Counter(range(11))
 
+    @pytest.mark.parametrize("ring,factors", [(360, (360,)), (2, (2, 2, 2)), (8, (8, 4))])
+    def test_part3_builds_no_bound_table(self, monkeypatch, ring, factors):
+        # The prime and first folds read joins with low off the up rows, so
+        # part 3 on a fresh bridge, whose tables are built on first read,
+        # builds neither the meet nor the join table.
+        built, build = [], lattice._bound_table
+        monkeypatch.setattr(lattice, "_bound_table",
+                            lambda rows: built.append(len(rows)) or build(rows))
+        act = submodule_lattice(FiniteModule(Ring(ring), factors))[1]
+        assert check_duality_theorem(act, 3).ok
+        assert built == []
+
     def test_module_verify_scans_join_distributivity_once(self, monkeypatch):
         # The bridge action is asked twice, for bridge.join_distributive and for
         # duality part 4; Z_12 is join distributive, so part 4 runs in full.
@@ -317,3 +332,50 @@ class TestIntervalFold:
                     if low == lat.bottom or high == lat.top:
                         reference = oracles.spectrum_reference(built, kind)
                         assert got == sum(1 << members[i] for i in reference), (low, high, kind)
+
+
+@functools.cache
+def lattice_corpus():
+    return oracles.small_lattices(8)
+
+
+def corpus_actions(up):
+    """The lattice with these up rows under the identity and the meet action, and their duals.
+
+    The meet action s.x = s meet x has the lattice's own order as its poset.
+    """
+    size = len(up)
+    lat = build_lattice(size, [(x, y) for x in range(size) for y in _bits(up[x])])
+    assert lat.up == up
+    table = [[lat.meet(s, x) for x in range(size)] for s in range(size)]
+    acts = [trivial_action(lat), make_action(lat, build_poset(size, lat.pairs()), table)]
+    return acts + [dual_action(act) for act in acts]
+
+
+class TestLatticeCorpus:
+    """Every lattice of up to eight elements, under four actions each."""
+
+    def test_counts(self):
+        # OEIS A006966: the lattices of 1 to 8 elements up to isomorphism.
+        assert [len(lattices) for lattices in lattice_corpus()[1:]] == [1, 1, 1, 2, 5, 15, 53, 222]
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_spectra_match_reference(self, size):
+        for up in lattice_corpus()[size]:
+            for act in corpus_actions(up):
+                for kind in KINDS:
+                    assert spectrum(act, kind) == oracles.spectrum_reference(act, kind), (up, kind)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_join_distributivity_matches_reference(self, size):
+        for up in lattice_corpus()[size]:
+            for act in corpus_actions(up):
+                assert is_join_distributive(act) == oracles.join_distributive_reference(act), up
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_lattice_battery_reports_no_fail(self, size):
+        for up in lattice_corpus()[size]:
+            for act in corpus_actions(up):
+                report = Report(subject=str(up))
+                cli.lattice_battery(act, report)
+                assert report.failures == [], report.render_text()
