@@ -128,11 +128,13 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
                     acc |= 1 << x
             got |= acc & ~row
     elif kind == "second":
-        # s refutes x unless (s.x) join low is x or the bottom, low.
+        # s refutes x unless (s.x) join low is x or the bottom, low.  The
+        # cheap tests go first: the join is x when s.x is (x >= low), and low
+        # when s.x <= low; only other images AND two up rows.
         for row in table:
             for x in members:
                 image = row[x]
-                if up[image] & base != up[x] and not below >> image & 1:
+                if image != x and not below >> image & 1 and up[image] & base != up[x]:
                     got |= 1 << x
     elif kind == "first":
         # (s, y) with (s.y) join low = low != y refutes up(y) minus the kernel of s.
@@ -158,10 +160,12 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
         elif kind == "prime":
             rows = ((images[high], images) for images in table)
         else:
-            # p = (s.high) join low is the element whose up row is the AND.
+            # p = (s.high) join low is s.high when low <= s.high, as on every
+            # interval [bottom, x], so only other lows read the join table.
             bounds = lat.meet_table if kind == "ps_irreducible" else lat.join_table
-            tops = (up.index(up[images[high]] & base) for images in table)
-            rows = ((p, bounds[p]) for p in tops)
+            tops = [images[high] for images in table]
+            tops = [t if base >> t & 1 else lat.join_table[low][t] for t in tops]
+            rows = zip(tops, map(bounds.__getitem__, tops))
         for p, row in rows:
             acc = 0
             for q in members:
