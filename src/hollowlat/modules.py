@@ -7,16 +7,15 @@ only FiniteModule knows the numbering: coordinates(i) gives the residues of
 element i and element(coords) the index of a residue tuple, and addition,
 scaling and element names go through the two.
 
-The submodules are enumerated from the group structure: a module whose order
-has several prime divisors splits into its p-primary parts, whose submodule
-lattices multiply, and each part lists its subgroups directly, one per basis
-in Hermite normal form (enumerate_submodules), which keeps containing[x],
-the mask of the submodules that hold element x.  Canonical order sorts by
-order first, so it is a linear extension of inclusion, and the least
-submodule holding some elements is the lowest set bit of the AND of their
-masks.  Generators, spans and the lattice (submodule_lattice) are read off
-these masks, and so is the ideal action: for a prime p, pN is the least
-submodule holding smul(p, g) for the generators g of N.  Everything
+The submodules are enumerated from the group structure: the module lists
+its subgroups directly, one per basis in Hermite normal form over its own
+factors (enumerate_submodules), which keeps containing[x], the mask of the
+submodules that hold element x.  Canonical order sorts by order first, so
+it is a linear extension of inclusion, and the least submodule holding some
+elements is the lowest set bit of the AND of their masks.  Generators,
+spans and the lattice (submodule_lattice) are read off these masks, and so
+is the ideal action: for a prime p, pN is the least submodule holding
+smul(p, g) for the generators g of N.  Everything
 downstream is a query on that lattice: inclusion reads its order rows, sums
 and intersections its join and meet tables, ideal products its action table,
 and the class predicates are lattice and spectrum queries.  The annihilators
@@ -120,12 +119,6 @@ class Ring:
         # hand out these objects.
         return tuple(Ideal(self, d) for d in self.divisors)
 
-    def unit_ideal(self) -> "Ideal":
-        return Ideal(self, 1)
-
-    def zero_ideal(self) -> "Ideal":
-        return Ideal(self, self.n)
-
 
 @dataclass(frozen=True)
 class Ideal:
@@ -137,19 +130,6 @@ class Ideal:
     def __post_init__(self):
         if not (1 <= self.d <= self.ring.n and self.ring.n % self.d == 0):
             raise ValueError(f"{self.d} is not a divisor of {self.ring.n}")
-
-    def le(self, other: "Ideal") -> bool:
-        """Inclusion: (d) is contained in (e) exactly when e divides d."""
-        return self.d % other.d == 0
-
-    def add(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, math.gcd(self.d, other.d))
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.d * other.d // math.gcd(self.d, other.d))
-
-    def mul(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, math.gcd(self.d * other.d, self.ring.n))
 
     @property
     def is_zero(self) -> bool:
@@ -293,9 +273,6 @@ class Submodule:
     def is_zero(self) -> bool:
         return self.order == 1
 
-    def le(self, other: "Submodule") -> bool:
-        return _bridge(self.module)[1].le(self.index, other.index)
-
     @cached_property
     def name(self) -> str:
         mod = self.module
@@ -330,10 +307,6 @@ def span(module, gens) -> Submodule:
     return enumerate_submodules(module)[_least(_enumeration(module)[1], gens)]
 
 
-def zero_submodule(module) -> Submodule:
-    return enumerate_submodules(module)[0]
-
-
 def whole_module(module) -> Submodule:
     return enumerate_submodules(module)[-1]
 
@@ -341,15 +314,12 @@ def whole_module(module) -> Submodule:
 def enumerate_submodules(module) -> tuple[Submodule, ...]:
     """All submodules, sorted by (order, member set).
 
-    A module whose order has several prime divisors is the direct sum of its
-    p-primary parts, whose orders are coprime, so its submodules are exactly
-    the sums H_p1 + H_p2 + ... of one submodule from each part: each part is
-    enumerated on its own and the products are pulled back along the CRT
-    projection.  A part, or a module of prime-power order, lists its
-    subgroups directly, one per basis in Hermite normal form (_subgroups).
-    The submodules of a quotient M/K are the images of the submodules of M
-    that contain K.  The result is memoized on the module, with the masks
-    containing[x] of the submodules holding each element x (_enumeration).
+    A FiniteModule lists its subgroups directly, one per basis in Hermite
+    normal form over its factors (_subgroups), whatever primes divide its
+    order.  The submodules of a quotient M/K are the images of the
+    submodules of M that contain K.  The result is memoized on the module,
+    with the masks containing[x] of the submodules holding each element x
+    (_enumeration).
     """
     return _enumeration(module)[0]
 
@@ -392,35 +362,11 @@ def _member_sets(module) -> list[frozenset[int]]:
         subs, containing = _enumeration(module.base)
         return [frozenset(map(module.project, subs[i].members))
                 for i in _bits(_holding(containing, module.kernel.generators))]
-    powers = [p ** v for p, v in _factor(module.size)]
-    if len(powers) < 2:
-        return list(map(frozenset, _subgroups(module.factors)))
-    parts = [[(i, f) for i, f in enumerate(math.gcd(d, q) for d in module.factors) if f > 1]
-             for q in powers]
-    # Number the tuples (y_1, y_2, ...) of part elements in mixed radix, y_j
-    # with place value radix[j].  The key of x, the number of its tuple of CRT
-    # images, is a sum over x's coordinates, so all keys come from one
-    # coordinatewise map, and lift inverts it.
-    radix = [math.prod(powers[j + 1:]) for j in range(len(powers))]
-    columns = [[0] * d for d in module.factors]
-    for kept, q, w in zip(parts, powers, radix):
-        place = q  # the part's order; divided down to each factor's place value
-        for i, f in kept:
-            place //= f
-            col = columns[i]
-            for x in range(len(col)):
-                col[x] += x % f * place * w
-    lift = [0] * module.size
-    for x, key in enumerate(map(sum, itertools.product(*columns))):
-        lift[key] = x
-    weighted = [[[y * w for y in sub] for sub in _subgroups([f for _, f in kept])]
-                for kept, w in zip(parts, radix)]
-    return [frozenset([lift[key] for key in map(sum, itertools.product(*combo))])
-            for combo in itertools.product(*weighted)]
+    return _subgroups(module.factors)
 
 
-def _subgroups(factors) -> list[list[int]]:
-    """Member lists of all subgroups of Z/f_1 + ... + Z/f_k, one per Hermite normal form.
+def _subgroups(factors) -> list[frozenset[int]]:
+    """Member sets of all subgroups of Z/f_1 + ... + Z/f_k, one per Hermite normal form.
 
     A subgroup H is the image of the lattice L of integer vectors that map
     into it, and L holds every f_i e_i.  L has exactly one basis in Hermite
@@ -440,9 +386,12 @@ def _subgroups(factors) -> list[list[int]]:
     list is built once.  A translation acts on each coordinate on its own,
     so its map over the tail sums one rotated column per factor, in index
     order; the maps are built on first use and dropped when the call returns.
+    Members are read out of one shared list of the element ints, so the
+    sets share their members instead of each holding its own copies.
     """
     k = len(factors)
     place = [math.prod(factors[i + 1:]) for i in range(k)]
+    elements = list(range(math.prod(factors)))
     found = []
 
     @cache
@@ -456,7 +405,7 @@ def _subgroups(factors) -> list[list[int]]:
         # rows: the Hermite rows i+1, ..., k-1, each from its diagonal on;
         # below: the members of their span.
         if i < 0:
-            found.append(below)
+            found.append(frozenset(below))
             return
         f = factors[i]
         for h in _divisors(f):
@@ -478,7 +427,7 @@ def _subgroups(factors) -> list[list[int]]:
                         cosets *= f // h
                     offsets = range(0, f * place[i], h * place[i])
                     extend(i - 1, ((h, *tail), *rows),
-                           [c + y for c, coset in zip(offsets, cosets) for y in coset])
+                           [elements[c + y] for c, coset in zip(offsets, cosets) for y in coset])
 
     extend(k - 1, (), [0])
     return found
@@ -510,25 +459,11 @@ def _join_all(lat: FiniteLattice, elements) -> int:
     return total
 
 
-def intersect(a: Submodule, b: Submodule) -> Submodule:
-    if a.module is not b.module:
-        raise ValueError("submodules live in different modules")
-    subs, lat, _ = _bridge(a.module)
-    return subs[lat.meet(a.index, b.index)]
-
-
 def _slot(module, ideal: Ideal) -> int:
     # The poset element of the ideal in the module's action.
     if ideal.ring != module.ring:
         raise ValueError("ideal and submodule have different rings")
     return module.ring.divisors.index(ideal.d)
-
-
-def ideal_apply(ideal: Ideal, sub: Submodule) -> Submodule:
-    """The product (d)N = span of {d x : x in N}."""
-    s = _slot(sub.module, ideal)
-    subs, _, act = _bridge(sub.module)
-    return subs[act.apply(s, sub.index)]
 
 
 def distinct_ideal_images(module) -> tuple[Submodule, ...]:
@@ -662,9 +597,22 @@ def _meets_distribute(lat: FiniteLattice, pairs) -> bool:
 
 
 def is_distributive_module(module) -> bool:
-    """Intersection distributes over sums, for all submodule triples."""
-    lat = _bridge(module)[1]
-    return _meets_distribute(lat, itertools.combinations_with_replacement(lat.elements(), 2))
+    """Intersection distributes over sums, for all submodule triples.
+
+    A finite lattice is distributive exactly when every hollow
+    (join-irreducible) element is strongly hollow (join-prime), so the two
+    spectra decide it (Birkhoff; Davey and Priestley 2002, ch. 5).  In a distributive
+    lattice a hollow x <= a join b is (x meet a) join (x meet b), so it is
+    x meet a or x meet b, that is, x <= a or x <= b.  Conversely, if the two
+    spectra agree, let J be the hollow elements and send each x to the set
+    of elements of J below it.  That map takes meets to intersections, and
+    joins to unions because every element of J is strongly hollow; it is
+    injective because in a finite lattice every element is the join of the
+    elements of J below it.  So the lattice is isomorphic to a lattice of
+    subsets of J under union and intersection, which is distributive.
+    """
+    act = _bridge(module)[2]
+    return spectrum_mask(act, "hollow") == spectrum_mask(act, "strongly_hollow")
 
 
 def is_pseudo_distributive_module(module) -> bool:

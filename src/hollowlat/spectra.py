@@ -18,9 +18,12 @@ and five on L minus the bottom element:
 
 The ps_ prefix abbreviates "pseudo strongly".  A spectrum is decided whole:
 its quantifiers are exhausted once, for all x at a time as bitmasks, and
-is_kind reads the same masks.  The masks are folded row by row over the meet,
-join and action tables and the order rows, and every quantifier instance is
-still visited.  One fold per kind serves every interval [low, high] of the
+is_kind reads the same masks.  Hollow and irreducible are read off the
+covers: x is a join (meet) of two elements other than x exactly when it has
+two lower (upper) covers, as _violations proves, so no pair is visited.  The
+other kinds are folded row by row over the meet, join and action tables and
+the order rows, and every one of their quantifier instances is still
+visited.  One fold per kind serves every interval [low, high] of the
 lattice, on the lattice's own rows and numbering, and the whole lattice is
 [bottom, top]: the interval laws of the checkers below build no interval.
 tests/oracles.py keeps the per-element loops.
@@ -54,7 +57,7 @@ from .report import Report
 UPPER_KINDS = ("irreducible", "strongly_irreducible", "ps_irreducible", "prime", "coprime")
 LOWER_KINDS = ("hollow", "strongly_hollow", "ps_hollow", "second", "first")
 KINDS = UPPER_KINDS + LOWER_KINDS
-PAIR_KINDS = ("irreducible", "strongly_irreducible", "hollow", "strongly_hollow")
+PAIR_KINDS = ("strongly_irreducible", "strongly_hollow")
 
 PS_HOLLOW_FLAG = (
     "ps_hollow evaluated as: x <= (s.top) join y implies x <= s.top or x <= y, "
@@ -85,15 +88,25 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
     table rows are the lattice's read at its members, the bits of up[low] &
     down[high], and its order rows are the lattice's ANDed with the members.
 
-    Each quantifier instance (a, b) or (s, y) is visited once and marks every x
-    it refutes: (a, b) refutes strongly hollow on down(a join b) minus down(a)
-    minus down(b).  The instances are folded one table row at a time: a pair
-    kind reads row a of the meet or join table, a kind of (s, y) row s of the
-    action table or the row of s.top, so every term that depends on the row
-    alone, such as the complement of down(a), is taken once per row.  What s
-    refutes as coprime depends on s.top alone, so that fold visits each
-    distinct s.top once.  Callers apply the domain.  Masks are memoized on
-    the action.
+    Hollow and irreducible are decided from the covers.  x is refuted as
+    hollow exactly when x = a join b for some a, b in [low, high] other than
+    x, and that holds exactly when x has two lower covers in [low, high]:
+    two distinct covers c, d are incomparable, so c < c join d <= x, and the
+    join is x because x covers c; conversely a, b < x each lie below some
+    lower cover of x, which is above low, so if x has only one, c, then
+    a join b <= c < x.  An interval is convex, so x's covers in it are its
+    lattice covers that lie above low (below high, for the upper covers).
+    Irreducible is the dual, with upper covers.
+
+    Every other quantifier instance (a, b) or (s, y) is visited once and
+    marks every x it refutes: (a, b) refutes strongly hollow on
+    down(a join b) minus down(a) minus down(b).  The instances are folded
+    one table row at a time: a pair kind reads row a of the meet or join
+    table, a kind of (s, y) row s of the action table or the row of s.top,
+    so every term that depends on the row alone, such as the complement of
+    down(a), is taken once per row.  What s refutes as coprime depends on
+    s.top alone, so that fold visits each distinct s.top once.  Callers
+    apply the domain.  Masks are memoized on the action.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -106,16 +119,11 @@ def _violations(action: PosetAction, kind: str, low: int, high: int) -> int:
     base, below = up[low], lat.down[low]
     got = 0
     if kind in ("irreducible", "hollow"):
-        # (a, b) refutes m = a meet b (a join b) unless m is a or b.  Row a
-        # never refutes a, so it refutes its off-diagonal m minus a.
-        bounds = lat.meet_table if kind == "irreducible" else lat.join_table
-        for a in members:
-            row, acc = bounds[a], 0
-            for b in members:
-                m = row[b]
-                if m != b:
-                    acc |= 1 << m
-            got |= acc & ~(1 << a)
+        # x fails exactly when it has two lower (upper) covers in the span.
+        covers, inside = (lat.upper, lat.down[high]) if kind == "irreducible" else (lat.lower, base)
+        for x in members:
+            if sum(inside >> c & 1 for c in covers[x]) > 1:
+                got |= 1 << x
     elif kind == "coprime":
         # s refutes x unless t <= x or t join x = high, where t = (s.high)
         # join low has the up row up[s.high] & span in the interval, and high

@@ -18,9 +18,7 @@ from hollowlat.modules import (
     enumerate_submodules,
     find_minimal_second_representations,
     find_second_submodules,
-    ideal_apply,
     image_in_quotient,
-    intersect,
     is_comultiplication_module,
     is_distributive_module,
     is_hollow_module,
@@ -39,7 +37,6 @@ from hollowlat.modules import (
     submodule_lattice,
     sum_of,
     whole_module,
-    zero_submodule,
 )
 from hollowlat.spectra import spectrum
 
@@ -120,23 +117,12 @@ def assert_lattice_matches_reference(module):
 
 
 class TestRingAndIdeals:
-    def test_ideal_inclusion_is_reverse_divisibility(self):
-        r = Ring(12)
-        assert Ideal(r, 4).le(Ideal(r, 2))
-        assert not Ideal(r, 2).le(Ideal(r, 4))
-
-    def test_ideal_arithmetic(self):
-        r = Ring(12)
-        assert Ideal(r, 4).add(Ideal(r, 6)).d == 2
-        assert Ideal(r, 4).intersect(Ideal(r, 6)).d == 12
-        assert Ideal(r, 6).mul(Ideal(r, 4)).d == 12
-
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError):
             Ideal(Ring(12), 5)
 
     def test_zero_ideal_name(self):
-        assert Ring(12).zero_ideal().name == "(0)"
+        assert Ideal(Ring(12), 12).name == "(0)"
 
     def test_divisors_and_primes_match_a_scan(self):
         for n in range(2, 1000):
@@ -169,9 +155,29 @@ class TestSpanAndEnumeration:
             module = FiniteModule(Ring(p), [p] * k)
             assert len(enumerate_submodules(module)) == subspace_count(k, p), (p, k)
 
+    @pytest.mark.parametrize("ring,factors,count", [
+        (6, (6, 6, 6, 6), 67 * 212), (10, (10, 10, 10), 16 * 64), (12, (12, 12, 12), 129 * 28),
+        (6, (6, 2, 2, 2, 2, 2), 2825 * 2), (6, (6, 6), 5 * 6), (12, (12, 6), 8 * 6),
+        (10, (10, 10), 5 * 8),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+    def test_count_is_the_product_over_primary_parts(self, ring, factors, count):
+        # M is the sum of its p-primary parts M_p, of coprime orders, so each
+        # submodule is the sum of one submodule of each part and |Sub(M)| is
+        # the product of the |Sub(M_p)|.  M_p has the factors gcd(d, p^v).
+        module = FiniteModule(Ring(ring), factors)
+        product = 1
+        for p in Ring(ring).primes:
+            q = p
+            while ring % (q * p) == 0:
+                q *= p
+            part = [math.gcd(d, q) for d in factors if math.gcd(d, q) > 1]
+            product *= len(enumerate_submodules(FiniteModule(Ring(q), part)))
+        assert len(enumerate_submodules(module)) == product == count
+
     def test_part_orders_above_the_default_bound(self):
-        # The 3-part of Z_13122 = Z_2 + Z_6561 has order 6561 > 4096; the
-        # enumeration must not check it against the default bound.
+        # Z_13122 has order 13122 > 4096 and is admitted by its own bound; the
+        # enumeration builds no module of its own, so nothing in it checks
+        # the default bound.
         assert len(enumerate_submodules(z(13122, bound=13122))) == 18
 
     def test_cyclic_enumeration_matches_closure_oracle(self):
@@ -224,23 +230,30 @@ class TestSpanAndEnumeration:
         assert [s.name for s in subs] == ["(0)", "(6)", "(4)", "(3)", "(2)", "(1)"]
 
 
+def ideal_image(d, sub):
+    """(d)N, read from the action table of the module's lattice."""
+    _, act = submodule_lattice(sub.module)
+    return enumerate_submodules(sub.module)[act.apply(sub.module.ring.divisors.index(d), sub.index)]
+
+
 class TestArithmeticOps:
-    def test_ideal_apply_examples(self):
+    def test_ideal_images(self):
         m = z(12)
-        assert sorted(ideal_apply(Ideal(Ring(12), 2), whole_module(m)).members) == [0, 2, 4, 6, 8, 10]
-        assert ideal_apply(Ideal(Ring(12), 3), span(m, (4,))).is_zero
-        assert ideal_apply(Ideal(Ring(12), 1), span(m, (4,))).name == "(4)"
+        assert sorted(ideal_image(2, whole_module(m)).members) == [0, 2, 4, 6, 8, 10]
+        assert ideal_image(3, span(m, (4,))).is_zero
+        assert ideal_image(1, span(m, (4,))).name == "(4)"
 
     def test_sum_and_intersection(self):
         m = z(12)
+        lat = submodule_lattice(m)[0]
         assert sum_of(span(m, (4,)), span(m, (6,))).name == "(2)"
-        assert intersect(span(m, (4,)), span(m, (6,))).name == "(0)"
+        assert enumerate_submodules(m)[lat.meet(span(m, (4,)).index, span(m, (6,)).index)].is_zero
 
     def test_annihilators(self):
         m = z(12)
         assert annihilator(span(m, (4,))).name == "(3)"
         assert annihilator(whole_module(m)).name == "(0)"
-        assert annihilator(zero_submodule(m)).d == 1
+        assert annihilator(enumerate_submodules(m)[0]).d == 1
 
     def test_kernel_of_ideal(self):
         m = z(12)
@@ -250,11 +263,11 @@ class TestArithmeticOps:
         for module in (z(12), z(30), klein(), FiniteModule(Ring(4), [4, 2])):
             for sub in enumerate_submodules(module):
                 ann = annihilator(sub)
-                assert ideal_apply(ann, sub).is_zero
+                assert ideal_image(ann.d, sub).is_zero
                 for d in module.ring.divisors:
-                    bigger = Ideal(module.ring, d)
-                    if ann.le(bigger) and bigger.d != ann.d:
-                        assert not ideal_apply(bigger, sub).is_zero
+                    # (d) strictly contains the annihilator: d properly divides it.
+                    if ann.d % d == 0 and d != ann.d:
+                        assert not ideal_image(d, sub).is_zero
 
 
 class TestQuotients:
@@ -262,7 +275,7 @@ class TestQuotients:
         m = z(12)
         assert quotient_module(m, span(m, (4,))).size == 4
         assert quotient_module(m, whole_module(m)).size == 1
-        assert quotient_module(m, zero_submodule(m)).size == 12
+        assert quotient_module(m, enumerate_submodules(m)[0]).size == 12
 
     def test_quotient_is_a_module(self):
         m = z(12)
@@ -296,7 +309,7 @@ class TestQuotients:
 class TestSmallness:
     def test_zero_is_small_everywhere(self):
         for module in (z(12), klein()):
-            assert is_small(zero_submodule(module))
+            assert is_small(enumerate_submodules(module)[0])
 
     def test_small_in_z4(self):
         m = z(4)
@@ -358,14 +371,14 @@ class TestClassPredicates:
 
     def test_hollow_of_zero_rejected(self):
         with pytest.raises(ZeroSubmodule):
-            is_hollow_module(zero_submodule(z(12)))
+            is_hollow_module(enumerate_submodules(z(12))[0])
 
     def test_simplicity(self):
         m = z(12)
         assert is_simple(span(m, (4,)))
         assert is_simple(span(m, (6,)))
         assert not is_simple(span(m, (2,)))
-        assert not is_simple(zero_submodule(m))
+        assert not is_simple(enumerate_submodules(m)[0])
 
 
 class TestSecondRepresentations:
@@ -374,7 +387,7 @@ class TestSecondRepresentations:
 
     def test_second_of_zero_rejected(self):
         with pytest.raises(ZeroSubmodule):
-            is_second_submodule(zero_submodule(z(12)))
+            is_second_submodule(enumerate_submodules(z(12))[0])
 
     def test_z12_not_second_representable(self):
         assert find_minimal_second_representations(z(12)) == ()
@@ -428,7 +441,7 @@ class TestBridge:
             assert {i for i, s in enumerate(subs)
                     if not s.is_zero and is_second_submodule(s)} == expected
 
-    def test_bridge_action_matches_ideal_apply(self):
+    def test_bridge_action_matches_member_images(self):
         # Every divisor's row, prime or composed, against the member images.
         for ring, factors in BRIDGE_MODULES:
             module = FiniteModule(Ring(ring), factors)
@@ -439,7 +452,6 @@ class TestBridge:
                 for x, sub in enumerate(subs):
                     image = oracle.ideal_product(d, sub.members)
                     assert subs[act.apply(s, x)].members == image
-                    assert ideal_apply(Ideal(module.ring, d), sub).members == image
 
     @pytest.mark.parametrize("ring,factors", BRIDGE_MODULES + [(2, (2,) * 5)],
                              ids=module_ids(BRIDGE_MODULES + [(2, (2,) * 5)]))

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 
 import oracles
@@ -36,6 +37,7 @@ from hollowlat.spectra import (
     is_topological,
     random_instance,
     spectrum,
+    spectrum_mask,
     variety,
 )
 
@@ -371,6 +373,17 @@ class TestLatticeCorpus:
         for up in lattice_corpus()[size]:
             for act in corpus_actions(up):
                 assert is_join_distributive(act) == oracles.join_distributive_reference(act), up
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_distributive_exactly_when_hollow_is_strongly_hollow(self, size):
+        # Birkhoff's criterion, which modules.is_distributive_module reads,
+        # against the distributive law at every triple.
+        for up in lattice_corpus()[size]:
+            act = corpus_actions(up)[0]
+            lat = act.lattice
+            criterion = spectrum_mask(act, "hollow") == spectrum_mask(act, "strongly_hollow")
+            pairs = itertools.combinations_with_replacement(lat.elements(), 2)
+            assert criterion == oracles.meets_distribute_reference(lat, pairs), up
 
     @pytest.mark.parametrize("size", range(1, 9))
     def test_lattice_battery_reports_no_fail(self, size):
