@@ -66,7 +66,9 @@ from .report import Report
 
 COMMANDS = ("submodules", "spectra", "pshollow", "represent", "minimize", "verify", "hasse")
 # Largest lattice a lattice spec may declare: verify on a chain of this size
-# takes about 2 s, and about 5 s with a poset that is a chain of the same size.
+# takes about 0.2 s and 18 MB in one process, and about 3 s and 56 MB with a
+# poset that is a chain of the same size acting by s.x = min(s, x) (2-core
+# x86-64, Python 3.11).
 LATTICE_SIZE_LIMIT = 256
 # Largest poset a lattice spec may declare.  It admits the 2304 divisors of
 # 6983776800, so every spec emitted from an admitted module spec parses.  With
@@ -247,10 +249,9 @@ def emit_dot(lattice: FiniteLattice, labels, highlights=None) -> str:
 # -- theorem batteries ---------------------------------------------------------
 
 def lattice_battery(action: PosetAction, report: Report) -> None:
-    for part in (1, 2, 3, 4):
-        report.extend(spectra.check_duality_theorem(action, part))
-    report.extend(spectra.check_double_dual(action))
-    report.extend(spectra.check_spectrum_identities(action))
+    spectra.check_duality_theorem(action, report)
+    spectra.check_double_dual(action, report)
+    spectra.check_spectrum_identities(action, report)
     if is_multiplication(action):
         primes = set(spectra.spectrum(action, "prime"))
         report.check("variety.prime_union_closed",
@@ -273,38 +274,38 @@ def module_battery(module: FiniteModule) -> Report:
                  "module=[" + ",".join(map(str, sorted(module_seconds))) + "]")
     lattice_battery(act, report)
 
-    report.extend(ph.check_min_cover_ideals(module))
+    ph.check_min_cover_ideals(module, report)
     found = ph.find_ps_hollow_submodules(module)
     up = lat.up
     for (n, pn), (k, pk) in itertools.combinations(found, 2):
         if up[n.index] >> k.index & 1 or up[k.index] >> n.index & 1:
             continue
         for family in sorted({pn.family, pk.family}, key=sorted):
-            report.extend(ph.check_profile_of_sum(n, k, family))
+            ph.check_profile_of_sum(n, k, family, report)
 
     reps = ph.enumerate_minimal_representations(module)
     report.add("representations.count", "pass", str(len(reps)),
                *(r.names() for r in reps))
     for r1, r2 in itertools.combinations_with_replacement(reps, 2):
-        report.extend(ph.verify_first_uniqueness(r1, r2))
-        report.extend(ph.verify_second_uniqueness(r1, r2))
-        report.extend(ph.check_aligned_equality(r1, r2))
+        ph.verify_first_uniqueness(r1, r2, report)
+        ph.verify_second_uniqueness(r1, r2, report)
+        ph.check_aligned_equality(r1, r2, report)
 
     for sub, _ in found:
-        report.extend(ph.check_nonsmall_inheritance(module, sub))
-    report.extend(ph.check_semisimple_equivalences(module))
-    report.extend(ph.check_second_rep_equivalences(module))
+        ph.check_nonsmall_inheritance(module, sub, report)
+    ph.check_semisimple_equivalences(module, report)
+    ph.check_second_rep_equivalences(module, report)
 
     second_reps = find_minimal_second_representations(module)
     if second_reps:
         for sr in second_reps:
-            report.extend(ph.check_direct_sum_criteria(module, sr, 1))
+            ph.check_direct_sum_criteria(module, sr, 1, report)
     else:
         report.gate("direct_sum.second_route", "not-second-representable")
     for rep in reps:
-        report.extend(ph.check_direct_sum_criteria(module, rep.summands, 2))
-        report.extend(ph.check_hull_disjoint_directness(module, rep))
-        report.extend(ph.check_hull_inheritance_directness(module, rep))
+        ph.check_direct_sum_criteria(module, rep.summands, 2, report)
+        ph.check_hull_disjoint_directness(module, rep, report)
+        ph.check_hull_inheritance_directness(module, rep, report)
     return report
 
 

@@ -15,16 +15,18 @@ redundant summands and then merges those that share a covering family; over
 Z/nZ that always ends at the primary decomposition, the only minimal
 representation, as its docstring proves.
 
-The check_* functions verify the structural laws of this theory on concrete
-modules.  Each one first decides its hypotheses by brute force and reports
-hypothesis-unmet findings when they fail; mathematical failures become fail
-verdicts with witnesses, never exceptions.  They take submodules and return
-reports, but decide every instance on lattice indices: they read the
-module's lattice and action once, inclusion is one bit of an up row, sums
-and intersections are join and meet table lookups, zero is the bottom,
-annihilators are a per-index table, and ps-hollow and second are one bit
-of a spectrum mask.  Names and ideals are built only for the strings a
-report prints.
+The check_* and verify_* functions verify the structural laws of this
+theory on concrete modules.  Each takes the Report it writes into as its last
+argument and returns nothing.  Each first decides its hypotheses by brute
+force, and an unmet hypothesis is a hypothesis-unmet finding, never an
+exception; mathematical failures become fail verdicts with witnesses.  Only
+misuse raises ValueError: inputs from two different modules, or an unknown
+part.  The checkers take submodules, but decide every instance on lattice
+indices: they read the module's lattice and action once, inclusion is one
+bit of an up row, sums and intersections are join and meet table lookups,
+zero is the bottom, annihilators are a per-index table, and ps-hollow and
+second are one bit of a spectrum mask.  Names and ideals are built only for
+the strings a report prints.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from functools import cached_property
 from .lattice import _bits, irredundant_families, memo
 from .modules import (
     Ideal,
-    ModuleError,
     Submodule,
     ZeroSubmodule,
     _annihilator_slots,
@@ -72,10 +73,6 @@ INNER_IRREDUCIBLE_FLAG = (
     "the summand-submodule alternative evaluates strong irreducibility inside "
     "the submodule lattice of the summand itself"
 )
-
-
-class HypothesisUnmet(ModuleError):
-    """Inputs violate a checker's stated preconditions."""
 
 
 @dataclass(frozen=True)
@@ -167,39 +164,39 @@ def is_hollow_ideal(ideal: Ideal) -> bool:
     return len(_factor(ideal.ring.n // ideal.d)) <= 1
 
 
-def check_min_cover_ideals(module) -> Report:
+def check_min_cover_ideals(module, report: Report) -> None:
     """Minimal covering ideals of ps-hollow submodules must be hollow ideals."""
-    rep = Report(subject=f"{module.describe()}: minimal covers hollow")
     found = find_ps_hollow_submodules(module)
     if not found:
-        rep.gate("min_covers_hollow", "no-ps-hollow-submodules")
-        return rep
+        report.gate("min_covers_hollow", "no-ps-hollow-submodules")
     for sub, prof in found:
         bad = [i.name for i in prof.min_covers if not is_hollow_ideal(i)]
-        rep.check(f"min_covers_hollow.{sub.name}", not bad,
-                  prof.family_name, *(f"not-hollow:{n}" for n in bad))
-    return rep
+        report.check(f"min_covers_hollow.{sub.name}", not bad,
+                     prof.family_name, *(f"not-hollow:{n}" for n in bad))
 
 
-def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> Report:
+def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int],
+                         report: Report) -> None:
     """N + K carries the covering family exactly when both summands do.
 
     Requires incomparable ps-hollow inputs and a family drawn from the
-    associated hollow ideals of the module; raises HypothesisUnmet otherwise.
+    associated hollow ideals of the module; otherwise the pair's claim is
+    gated, with one witness per unmet hypothesis.
     """
     module = n.module
     if module is not k.module:
-        raise HypothesisUnmet("submodules live in different modules")
+        raise ValueError("submodules live in different modules")
     _, lat, act = _bridge(module)
     x, y = n.index, k.index
-    if lat.up[x] >> y & 1 or lat.up[y] >> x & 1:
-        raise HypothesisUnmet(f"{n.name} and {k.name} are comparable")
-    # Zero lies below everything, so neither input is zero here.
     hollow = spectrum_mask(act, "ps_hollow")
-    if not hollow >> x & hollow >> y & 1:
-        raise HypothesisUnmet("both submodules must be ps-hollow")
-    if not family <= _associated_families(module):
-        raise HypothesisUnmet("family is not drawn from the associated hollow ideals")
+    unmet = ["comparable"] if lat.up[x] >> y & 1 or lat.up[y] >> x & 1 else []
+    unmet += [f"not-ps-hollow:{s.name}" for s in (n, k) if not hollow >> s.index & 1]
+    outside = sorted(family - _associated_families(module))
+    if outside:
+        unmet.append("family-not-associated:" + ",".join(map(str, outside)))
+    if unmet:
+        report.gate(f"profile_sum.{n.name}+{k.name}", *unmet)
+        return
 
     def is_family(z: int) -> bool:
         return bool(hollow >> z & 1) and _profile(module, z).family == family
@@ -207,10 +204,8 @@ def check_profile_of_sum(n: Submodule, k: Submodule, family: frozenset[int]) -> 
     lhs = is_family(lat.join_table[x][y])
     rhs = is_family(x) and is_family(y)
     name = ideal_set_names(Ideal(module.ring, d) for d in family)
-    rep = Report(subject=f"{module.describe()}: profile of sum")
-    rep.check(f"profile_sum.{n.name}+{k.name}.{name}", lhs == rhs,
-              f"sum_matches={lhs}", f"parts_match={rhs}")
-    return rep
+    report.check(f"profile_sum.{n.name}+{k.name}.{name}", lhs == rhs,
+                 f"sum_matches={lhs}", f"parts_match={rhs}")
 
 
 @memo
@@ -347,95 +342,89 @@ def enumerate_minimal_representations(module, max_terms: int | None = None
 
 # -- uniqueness ----------------------------------------------------------------
 
-def _require_minimal_pair(r1: Representation, r2: Representation) -> None:
+def _unmet_minimal_pair(r1: Representation, r2: Representation) -> list[str]:
+    """The witness that a pair of representations is not minimal, if it is not."""
     if r1.module is not r2.module:
-        raise HypothesisUnmet("representations are of different modules")
-    if not (r1.minimal and r2.minimal):
-        raise HypothesisUnmet("both representations must be minimal")
+        raise ValueError("representations are of different modules")
+    return [] if r1.minimal and r2.minimal else ["representation-not-minimal"]
 
 
-def verify_first_uniqueness(r1: Representation, r2: Representation) -> Report:
+def verify_first_uniqueness(r1: Representation, r2: Representation, report: Report) -> None:
     """Minimal representations agree in length, families, and matching hulls."""
-    _require_minimal_pair(r1, r2)
-    rep = Report(subject=f"{r1.module.describe()}: first uniqueness "
-                         f"[{r1.names()}] vs [{r2.names()}]")
-    rep.check("first_uniqueness.count", len(r1.summands) == len(r2.summands),
-              str(len(r1.summands)), str(len(r2.summands)))
+    unmet = _unmet_minimal_pair(r1, r2)
+    if unmet:
+        report.gate("first_uniqueness", *unmet)
+        return
+    report.check("first_uniqueness.count", len(r1.summands) == len(r2.summands),
+                 str(len(r1.summands)), str(len(r2.summands)))
     fams1 = sorted(sorted(p.family) for p in r1.profiles)
     fams2 = sorted(sorted(p.family) for p in r2.profiles)
-    rep.check("first_uniqueness.families", fams1 == fams2,
-              *(ideal_set_names(Ideal(r1.module.ring, d) for d in f) for f in fams1))
+    report.check("first_uniqueness.families", fams1 == fams2,
+                 *(ideal_set_names(Ideal(r1.module.ring, d) for d in f) for f in fams1))
     bad = []
     for p1 in r1.profiles:
         for p2 in r2.profiles:
             if p1.family == p2.family and p1.hull.index != p2.hull.index:
                 bad.append(f"{p1.family_name}:{p1.hull.name}!={p2.hull.name}")
-    rep.check("first_uniqueness.hulls_match", not bad, *bad)
-    return rep
+    report.check("first_uniqueness.hulls_match", not bad, *bad)
 
 
-def _align_by_family(r1: Representation, r2: Representation
-                     ) -> list[tuple[HollowProfile, HollowProfile]]:
+def _aligned(r1: Representation, r2: Representation, not_ps=()):
+    """The profiles of r1 paired with those of r2 by family, and the unmet hypotheses.
+
+    The hypotheses, in order: both representations are minimal, their lengths
+    agree, no hull is named in not_ps, and the families of r2 are distinct and
+    include every family of r1.  The witnesses are those of the first that
+    fails, none when all hold; only then are the pairs read.
+    """
     by_family = {p.family: p for p in r2.profiles}
     if len(by_family) != len(r2.profiles):
-        raise HypothesisUnmet("duplicate families in a minimal representation")
-    pairs = []
-    for p1 in r1.profiles:
-        p2 = by_family.get(p1.family)
-        if p2 is None:
-            raise HypothesisUnmet("families do not match; first uniqueness fails")
-        pairs.append((p1, p2))
-    return pairs
+        unaligned = ["duplicate families in a minimal representation"]
+    elif any(p1.family not in by_family for p1 in r1.profiles):
+        unaligned = ["families do not match; first uniqueness fails"]
+    else:
+        unaligned = []
+    unmet = (_unmet_minimal_pair(r1, r2)
+             or (["lengths-differ"] if len(r1.summands) != len(r2.summands) else [])
+             or [f"hull-not-ps-hollow:{n}" for n in not_ps]
+             or unaligned)
+    return [(p1, by_family.get(p1.family)) for p1 in r1.profiles], unmet
 
 
-def verify_second_uniqueness(r1: Representation, r2: Representation) -> Report:
+def verify_second_uniqueness(r1: Representation, r2: Representation, report: Report) -> None:
     """At family-minimal positions, summands coincide or the hull is not ps-hollow.
 
     The two representations are aligned by their covering families first;
     minimality between families is set inclusion of the ideal sets.
     """
-    _require_minimal_pair(r1, r2)
-    if len(r1.summands) != len(r2.summands):
-        raise HypothesisUnmet("representations have different lengths")
-    pairs = _align_by_family(r1, r2)
+    pairs, unmet = _aligned(r1, r2)
+    if unmet:
+        report.gate("second_uniqueness", *unmet)
+        return
     families = [p1.family for p1, _ in pairs]
     hollow = spectrum_mask(_bridge(r1.module)[2], "ps_hollow")
-    rep = Report(subject=f"{r1.module.describe()}: second uniqueness "
-                         f"[{r1.names()}] vs [{r2.names()}]")
-    rep.flag(FAMILY_ORDER_FLAG)
+    report.flag(FAMILY_ORDER_FLAG)
     for p1, p2 in pairs:
         if any(other < p1.family for other in families):
             continue
         same = p1.submodule.index == p2.submodule.index
         hull_ps = bool(hollow >> p1.hull.index & 1)
-        rep.check(f"second_uniqueness.{p1.family_name}", same or not hull_ps,
-                  f"left={p1.submodule.name}", f"right={p2.submodule.name}",
-                  f"hull_ps_hollow={hull_ps}")
-    return rep
+        report.check(f"second_uniqueness.{p1.family_name}", same or not hull_ps,
+                     f"left={p1.submodule.name}", f"right={p2.submodule.name}",
+                     f"hull_ps_hollow={hull_ps}")
 
 
-def check_aligned_equality(r1: Representation, r2: Representation) -> Report:
+def check_aligned_equality(r1: Representation, r2: Representation, report: Report) -> None:
     """When every summand hull is ps-hollow, aligned summands are identical."""
-    _require_minimal_pair(r1, r2)
-    rep = Report(subject=f"{r1.module.describe()}: aligned equality "
-                         f"[{r1.names()}] vs [{r2.names()}]")
     hollow = spectrum_mask(_bridge(r1.module)[2], "ps_hollow")
     not_ps = [p.hull.name for p in r1.profiles + r2.profiles if not hollow >> p.hull.index & 1]
-    if len(r1.summands) != len(r2.summands):
-        rep.gate("aligned_equality", "lengths-differ")
-        return rep
-    if not_ps:
-        rep.gate("aligned_equality", *(f"hull-not-ps-hollow:{n}" for n in not_ps))
-        return rep
-    try:
-        pairs = _align_by_family(r1, r2)
-    except HypothesisUnmet as exc:
-        rep.gate("aligned_equality", str(exc))
-        return rep
+    pairs, unmet = _aligned(r1, r2, not_ps)
+    if unmet:
+        report.gate("aligned_equality", *unmet)
+        return
     bad = [f"{p1.submodule.name}!={p2.submodule.name}"
            for p1, p2 in pairs if p1.submodule.index != p2.submodule.index]
-    rep.check("aligned_equality", not bad, *bad)
-    return rep
+    report.check("aligned_equality", not bad, *bad)
 
 
 # -- structural theorem checkers ------------------------------------------------
@@ -452,7 +441,7 @@ def _nonsmall_outside_images(module) -> tuple[str, ...]:
                  if k.index not in images and not is_small(k))
 
 
-def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
+def check_nonsmall_inheritance(module, sub: Submodule, report: Report) -> None:
     """Non-small submodules of a ps-hollow submodule inherit its profile.
 
     Hypotheses: sub is ps-hollow, and every non-small submodule of the module
@@ -460,8 +449,7 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     small inside sub: K is ps-hollow with the same covering family, and its
     full covering-ideal set agrees with that of sub.
     """
-    rep = Report(subject=f"{module.describe()}: non-small inheritance in {sub.name}")
-    rep.flag(NONSMALL_READING_FLAG)
+    report.flag(NONSMALL_READING_FLAG)
     claim = f"nonsmall_inheritance.{sub.name}"
     subs, lat, act = _bridge(module)
     x = sub.index
@@ -472,8 +460,8 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
     if outside:
         unmet.append("non-small-not-ideal-multiple:" + ",".join(outside))
     if unmet:
-        rep.gate(claim, *unmet)
-        return rep
+        report.gate(claim, *unmet)
+        return
     prof = _profile(module, x)
     for k in _bits(lat.down[x]):
         # Zero is small everywhere, so every k left is nonzero.
@@ -481,10 +469,9 @@ def check_nonsmall_inheritance(module, sub: Submodule) -> Report:
             continue
         kp = _profile(module, k)
         ok = kp.ps_hollow and kp.family == prof.family and kp.covers == prof.covers
-        rep.check(f"{claim}.{subs[k].name}", ok,
-                  f"ps_hollow={kp.ps_hollow}", f"family={kp.family_name}",
-                  f"covers={ideal_set_names(kp.covers)}")
-    return rep
+        report.check(f"{claim}.{subs[k].name}", ok,
+                     f"ps_hollow={kp.ps_hollow}", f"family={kp.family_name}",
+                     f"covers={ideal_set_names(kp.covers)}")
 
 
 def _four_equivalents(module) -> dict[str, bool]:
@@ -504,7 +491,7 @@ def _annihilator_divisors(module, xs) -> list[int]:
     return [divs[slots[x]] for x in xs]
 
 
-def check_semisimple_equivalences(module) -> Report:
+def check_semisimple_equivalences(module, report: Report) -> None:
     """For semisimple modules with separating annihilators, four conditions agree.
 
     The conditions: the module is multiplication; every ps-hollow submodule is
@@ -513,7 +500,6 @@ def check_semisimple_equivalences(module) -> Report:
     intersection of their annihilators.  The intersection of the ideals (d)
     is (lcm of the d).
     """
-    rep = Report(subject=f"{module.describe()}: semisimple equivalences")
     unmet = []
     if not is_semisimple_module(module):
         unmet.append("not-semisimple")
@@ -525,43 +511,40 @@ def check_semisimple_equivalences(module) -> Report:
         if math.lcm(*anns[:j], *anns[j + 1:]) == ann_whole:
             unmet.append(f"annihilator-separation-fails-at:{subs[x].name}")
     if unmet:
-        rep.gate("semisimple_equivalences", *unmet)
-        return rep
+        report.gate("semisimple_equivalences", *unmet)
+        return
     values = _four_equivalents(module)
-    rep.check("semisimple_equivalences", len(set(values.values())) == 1,
-              *(f"{k}={v}" for k, v in values.items()))
-    return rep
+    report.check("semisimple_equivalences", len(set(values.values())) == 1,
+                 *(f"{k}={v}" for k, v in values.items()))
 
 
-def check_second_rep_equivalences(module) -> Report:
+def check_second_rep_equivalences(module, report: Report) -> None:
     """Same four-way agreement for semisimple second representable modules.
 
     Requires the attached annihilators to be pairwise incomparable; also
     verifies that every irredundant second representation yields the same
     attached set.
     """
-    rep = Report(subject=f"{module.describe()}: second representation equivalences")
     unmet = []
     if not is_semisimple_module(module):
         unmet.append("not-semisimple")
     reps = find_minimal_second_representations(module)
     if not reps:
         unmet.append("not-second-representable")
-        rep.gate("second_rep_equivalences", *unmet)
-        return rep
+        report.gate("second_rep_equivalences", *unmet)
+        return
     att_sets = [frozenset(_annihilator_divisors(module, [k.index for k in r])) for r in reps]
-    rep.check("second_rep_attached_consistent", len(set(att_sets)) == 1,
-              *(ideal_set_names(Ideal(module.ring, d) for d in s)
-                for s in sorted(set(att_sets), key=sorted)))
+    report.check("second_rep_attached_consistent", len(set(att_sets)) == 1,
+                 *(ideal_set_names(Ideal(module.ring, d) for d in s)
+                   for s in sorted(set(att_sets), key=sorted)))
     if not _annihilators_incomparable(att_sets[0]):
         unmet.append("attached-annihilators-comparable")
     if unmet:
-        rep.gate("second_rep_equivalences", *unmet)
-        return rep
+        report.gate("second_rep_equivalences", *unmet)
+        return
     values = _four_equivalents(module)
-    rep.check("second_rep_equivalences", len(set(values.values())) == 1,
-              *(f"{k}={v}" for k, v in values.items()))
-    return rep
+    report.check("second_rep_equivalences", len(set(values.values())) == 1,
+                 *(f"{k}={v}" for k, v in values.items()))
 
 
 def _annihilators_incomparable(ds) -> bool:
@@ -573,18 +556,17 @@ def _is_direct(module, summands) -> bool:
     return math.prod(s.order for s in summands) == module.size
 
 
-def _gate_or_check_direct(rep: Report, claim: str, unmet, module, summands) -> Report:
+def _gate_or_check_direct(report: Report, claim: str, unmet, module, summands) -> None:
     """Gate the claim on the unmet hypotheses, or else check that the sum is direct."""
     if unmet:
-        rep.gate(claim, *unmet)
+        report.gate(claim, *unmet)
     else:
-        rep.check(claim, _is_direct(module, summands),
-                  f"orders={'x'.join(str(s.order) for s in summands)}",
-                  f"module={module.size}")
-    return rep
+        report.check(claim, _is_direct(module, summands),
+                     f"orders={'x'.join(str(s.order) for s in summands)}",
+                     f"module={module.size}")
 
 
-def check_direct_sum_criteria(module, summands, part: int) -> Report:
+def check_direct_sum_criteria(module, summands, part: int, report: Report) -> None:
     """Two sufficient criteria for a representation to be a direct sum.
 
     Part 1 applies to an irredundant second representation with incomparable
@@ -605,8 +587,6 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
     projecting X <= dM + Y to M_p gives X <= Y.  So X is zero or ps-hollow.
     """
     summands = tuple(summands)
-    rep = Report(subject=f"{module.describe()}: direct sum criterion {part} "
-                         f"[{'+'.join(s.name for s in summands)}]")
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     subs, lat, act = _bridge(module)
@@ -636,16 +616,16 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
                 if inter != bottom and not hollow >> inter & 1:
                     unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
         if unmet:
-            rep.gate(claim, *unmet)
-            return rep
+            report.gate(claim, *unmet)
+            return
         direct = _is_direct(module, summands)
         pairwise = all(meets[a][b] == bottom for a, b in itertools.combinations(xs, 2))
-        rep.check(claim, direct == pairwise,
-                  f"direct={direct}", f"pairwise_zero={pairwise}")
-        return rep
+        report.check(claim, direct == pairwise,
+                     f"direct={direct}", f"pairwise_zero={pairwise}")
+        return
 
     claim = "direct_sum.distributive_route"
-    rep.flag(INNER_IRREDUCIBLE_FLAG)
+    report.flag(INNER_IRREDUCIBLE_FLAG)
     if not unmet:
         if not is_distributive_module(module):
             unmet.append("not-distributive")
@@ -663,14 +643,13 @@ def check_direct_sum_criteria(module, summands, part: int) -> Report:
                 if hollow >> y & 1 and _profile(module, y).family == fam:
                     continue
                 unmet.append(f"submodule-alternative-fails:{subs[y].name}-in-{s.name}")
-    return _gate_or_check_direct(rep, claim, unmet, module, summands)
+    _gate_or_check_direct(report, claim, unmet, module, summands)
 
 
-def check_hull_disjoint_directness(module, representation: Representation) -> Report:
+def check_hull_disjoint_directness(module, representation: Representation,
+                                   report: Report) -> None:
     """Minimal representation with hereditary ps-hollow summands and disjoint hulls
     is a direct sum."""
-    rep = Report(subject=f"{module.describe()}: hull-disjoint directness "
-                         f"[{representation.names()}]")
     claim = "hull_disjoint_direct"
     subs, lat, act = _bridge(module)
     # Every nonzero submodule that is not ps-hollow: zero's bit is clear in the mask.
@@ -685,14 +664,13 @@ def check_hull_disjoint_directness(module, representation: Representation) -> Re
     for p, q in itertools.combinations(representation.profiles, 2):
         if lat.meet_table[p.hull.index][q.hull.index] != lat.bottom:
             unmet.append(f"hulls-overlap:{p.hull.name}&{q.hull.name}")
-    return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)
+    _gate_or_check_direct(report, claim, unmet, module, representation.summands)
 
 
-def check_hull_inheritance_directness(module, representation: Representation) -> Report:
+def check_hull_inheritance_directness(module, representation: Representation,
+                                      report: Report) -> None:
     """Minimal representation whose hulls pass their family to all nonzero
     submodules is a direct sum."""
-    rep = Report(subject=f"{module.describe()}: hull-inheritance directness "
-                         f"[{representation.names()}]")
     claim = "hull_inheritance_direct"
     subs, lat, act = _bridge(module)
     hollow = spectrum_mask(act, "ps_hollow")
@@ -705,4 +683,4 @@ def check_hull_inheritance_directness(module, representation: Representation) ->
                 continue
             if not hollow >> x & 1 or _profile(module, x).family != prof.family:
                 unmet.append(f"hull-submodule-breaks-family:{subs[x].name}-in-{prof.hull.name}")
-    return _gate_or_check_direct(rep, claim, unmet, module, representation.summands)
+    _gate_or_check_direct(report, claim, unmet, module, representation.summands)

@@ -49,11 +49,6 @@ class Report:
         if text not in self.flags:
             self.flags.append(text)
 
-    def extend(self, other: "Report") -> None:
-        self.findings.extend(other.findings)
-        for text in other.flags:
-            self.flag(text)
-
     @property
     def failures(self) -> list[Finding]:
         return [f for f in self.findings if f.verdict == FAIL]

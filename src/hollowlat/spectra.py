@@ -245,8 +245,8 @@ def _quotient_firsts(action: PosetAction, x: int) -> tuple[tuple[int, ...], tupl
     return tuple(i for i, y in classes if not violations >> y & 1), tuple(i for i, _ in classes)
 
 
-def check_duality_theorem(action: PosetAction, part: int) -> Report:
-    """Verify one part of the coprime/second duality law suite.
+def check_duality_theorem(action: PosetAction, report: Report) -> None:
+    """Verify the four parts of the coprime/second duality law suite, in order.
 
     1: coprime spectrum equals the second spectrum of the dual action.
     2: coprime spectrum of the dual equals the second spectrum of the star action.
@@ -256,41 +256,33 @@ def check_duality_theorem(action: PosetAction, part: int) -> Report:
        non-top x; gated when join distributivity fails.
     """
     lat = action.lattice
-    rep = Report(subject=f"duality part {part}")
-    if part == 1:
-        lhs = spectrum(action, "coprime")
-        rhs = spectrum(dual_action(action), "second")
-        rep.check("duality.coprime_equals_dual_second", lhs == rhs,
-                  f"coprime={_ids(lhs)}", f"dual_second={_ids(rhs)}")
-    elif part == 2:
-        lhs = spectrum(dual_action(action), "coprime")
-        rhs = spectrum(star_action(action), "second")
-        rep.check("duality.dual_coprime_equals_star_second", lhs == rhs,
-                  f"dual_coprime={_ids(lhs)}", f"star_second={_ids(rhs)}")
-    elif part == 3:
-        primes = spectrum(action, "prime")
-        if not primes:
-            rep.gate("duality.prime_quotient_all_first", "no-prime-elements")
-        for x in primes:
-            firsts, expected = _quotient_firsts(action, x)
-            rep.check(f"duality.prime_quotient_all_first.x{x}", firsts == expected,
-                      f"first={_ids(firsts)}", f"expected={_ids(expected)}")
-    elif part == 4:
-        if not is_join_distributive(action):
-            rep.gate("duality.prime_iff_quotient_first", "join-distributivity-fails")
-            return rep
-        for x in range(lat.size):
-            if x == lat.top:
-                continue
-            firsts, expected = _quotient_firsts(action, x)
-            rep.check(f"duality.prime_iff_quotient_first.x{x}",
-                      is_kind(action, x, "prime") == (firsts == expected))
-    else:
-        raise ValueError("part must be 1, 2, 3 or 4")
-    return rep
+    lhs = spectrum(action, "coprime")
+    rhs = spectrum(dual_action(action), "second")
+    report.check("duality.coprime_equals_dual_second", lhs == rhs,
+                 f"coprime={_ids(lhs)}", f"dual_second={_ids(rhs)}")
+    lhs = spectrum(dual_action(action), "coprime")
+    rhs = spectrum(star_action(action), "second")
+    report.check("duality.dual_coprime_equals_star_second", lhs == rhs,
+                 f"dual_coprime={_ids(lhs)}", f"star_second={_ids(rhs)}")
+    primes = spectrum(action, "prime")
+    if not primes:
+        report.gate("duality.prime_quotient_all_first", "no-prime-elements")
+    for x in primes:
+        firsts, expected = _quotient_firsts(action, x)
+        report.check(f"duality.prime_quotient_all_first.x{x}", firsts == expected,
+                     f"first={_ids(firsts)}", f"expected={_ids(expected)}")
+    if not is_join_distributive(action):
+        report.gate("duality.prime_iff_quotient_first", "join-distributivity-fails")
+        return
+    for x in range(lat.size):
+        if x == lat.top:
+            continue
+        firsts, expected = _quotient_firsts(action, x)
+        report.check(f"duality.prime_iff_quotient_first.x{x}",
+                     is_kind(action, x, "prime") == (firsts == expected))
 
 
-def check_spectrum_identities(action: PosetAction) -> Report:
+def check_spectrum_identities(action: PosetAction, report: Report) -> None:
     """Verify the small identity suite tying the spectra together.
 
     1: bottom prime iff top first
@@ -302,37 +294,36 @@ def check_spectrum_identities(action: PosetAction) -> Report:
     7: x second iff bottom is coprime in the interval below x
     """
     lat = action.lattice
-    rep = Report(subject="spectrum identities")
-    rep.flag(PS_HOLLOW_FLAG)
-    rep.flag(COPRIME_DOMAIN_FLAG)
+    report.flag(PS_HOLLOW_FLAG)
+    report.flag(COPRIME_DOMAIN_FLAG)
     degenerate = lat.bottom == lat.top
 
     if degenerate:
-        rep.add("identity.bottom_prime_iff_top_first", "pass", "degenerate")
+        report.add("identity.bottom_prime_iff_top_first", "pass", "degenerate")
     else:
-        rep.check("identity.bottom_prime_iff_top_first",
-                  is_kind(action, lat.bottom, "prime") == is_kind(action, lat.top, "first"))
+        report.check("identity.bottom_prime_iff_top_first",
+                     is_kind(action, lat.bottom, "prime") == is_kind(action, lat.top, "first"))
 
     dual = dual_action(action)
     sh = set(spectrum(action, "strongly_hollow"))
     dual_prime = set(spectrum(dual, "prime"))
-    rep.check("identity.strongly_hollow_subset_dual_prime", sh <= dual_prime,
-              f"strongly_hollow={_ids(sorted(sh))}", f"dual_prime={_ids(sorted(dual_prime))}")
+    report.check("identity.strongly_hollow_subset_dual_prime", sh <= dual_prime,
+                 f"strongly_hollow={_ids(sorted(sh))}", f"dual_prime={_ids(sorted(dual_prime))}")
 
     if is_multiplication(action):
         psh = set(spectrum(action, "ps_hollow"))
-        rep.check("identity.multiplication_collapse", psh == sh == dual_prime,
-                  f"ps_hollow={_ids(sorted(psh))}", f"strongly_hollow={_ids(sorted(sh))}",
-                  f"dual_prime={_ids(sorted(dual_prime))}")
-        rep.flag(MULTIPLICATION_COLLAPSE_FLAG)
+        report.check("identity.multiplication_collapse", psh == sh == dual_prime,
+                     f"ps_hollow={_ids(sorted(psh))}", f"strongly_hollow={_ids(sorted(sh))}",
+                     f"dual_prime={_ids(sorted(dual_prime))}")
+        report.flag(MULTIPLICATION_COLLAPSE_FLAG)
     else:
-        rep.gate("identity.multiplication_collapse", "not-multiplication")
+        report.gate("identity.multiplication_collapse", "not-multiplication")
 
     star = star_action(action)
-    rep.check("identity.star_prime_iff_ps_irreducible",
-              spectrum(star, "prime") == spectrum(action, "ps_irreducible"))
-    rep.check("identity.coprime_star_invariant",
-              spectrum(star, "coprime") == spectrum(action, "coprime"))
+    report.check("identity.star_prime_iff_ps_irreducible",
+                 spectrum(star, "prime") == spectrum(action, "ps_irreducible"))
+    report.check("identity.coprime_star_invariant",
+                 spectrum(star, "coprime") == spectrum(action, "coprime"))
 
     # 6 and 7 read bit bottom of the masks of [bottom, x], the interval's bottom.
     bottom, first_ok, second_ok = lat.bottom, True, True
@@ -342,21 +333,18 @@ def check_spectrum_identities(action: PosetAction) -> Report:
             coprime = not _violations(action, "coprime", bottom, x) >> bottom & 1
             first_ok &= is_kind(action, x, "first") == prime
             second_ok &= is_kind(action, x, "second") == coprime
-    rep.check("identity.first_iff_interval_bottom_prime", first_ok)
-    rep.check("identity.second_iff_interval_bottom_coprime", second_ok)
-    return rep
+    report.check("identity.first_iff_interval_bottom_prime", first_ok)
+    report.check("identity.second_iff_interval_bottom_coprime", second_ok)
 
 
-def check_double_dual(action: PosetAction) -> Report:
+def check_double_dual(action: PosetAction, report: Report) -> None:
     """The dual action applied twice must coincide with the star action."""
-    rep = Report(subject="double dual")
     twice = dual_action(dual_action(action))
     star = star_action(action)
-    rep.check("duality.double_dual_equals_star",
-              twice.table == star.table
-              and twice.lattice.up == star.lattice.up
-              and twice.poset.up == star.poset.up)
-    return rep
+    report.check("duality.double_dual_equals_star",
+                 twice.table == star.table
+                 and twice.lattice.up == star.lattice.up
+                 and twice.poset.up == star.poset.up)
 
 
 # -- seeded random instances -------------------------------------------------

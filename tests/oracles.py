@@ -52,6 +52,9 @@ class, as a corpus that no random draw can miss a case of.  It decides
 lattice-ness from the definition, a least common upper and a greatest
 common lower bound for every pair, not with build_lattice, so the tests can
 check that build_lattice accepts each one.
+
+report_of runs one theorem checker into a fresh report and returns it, so a
+test reads one checker's findings alone.
 """
 
 import functools
@@ -70,7 +73,15 @@ from hollowlat.modules import (
     submodule_lattice,
     submodules_within,
 )
+from hollowlat.report import Report
 from hollowlat.spectra import UPPER_KINDS, random_instance
+
+
+def report_of(checker, *args):
+    """The findings and flags that checker writes on args, in a report of their own."""
+    report = Report(subject=checker.__name__)
+    checker(*args, report)
+    return report
 
 
 def _closure(module, seed, gens):

@@ -8,6 +8,7 @@ import itertools
 import time
 
 import oracles
+from oracles import report_of
 
 from hollowlat import pshollow as ph
 from hollowlat import spectra
@@ -114,7 +115,7 @@ def test_criterion_3_z30_facts(capsys):
     assert is_multiplication_module(module)
     assert is_comultiplication_module(module)
     assert is_semisimple_module(module)
-    sem = ph.check_semisimple_equivalences(module)
+    sem = report_of(ph.check_semisimple_equivalences, module)
     assert sem.findings[0].verdict == "pass", sem.render_text()
     with capsys.disabled():
         finish("3 Z_30 facts", started, 1.0)
@@ -127,9 +128,9 @@ def test_criterion_4_uniqueness_sweep(capsys):
         reps = ph.enumerate_minimal_representations(z(n))
         assert reps, n
         for r1, r2 in itertools.combinations_with_replacement(reps, 2):
-            if not ph.verify_first_uniqueness(r1, r2).ok:
+            if not report_of(ph.verify_first_uniqueness, r1, r2).ok:
                 failures += 1
-            if not ph.verify_second_uniqueness(r1, r2).ok:
+            if not report_of(ph.verify_second_uniqueness, r1, r2).ok:
                 failures += 1
     assert failures == 0
     with capsys.disabled():
@@ -142,13 +143,14 @@ def test_criterion_5_duality_suite(capsys):
     for seed in range(200):
         action = spectra.random_instance(seed, max_lattice=8, max_poset=4)
         assert action.lattice.size <= 8 and action.poset.size <= 4
-        for part in (1, 2):
-            rep = spectra.check_duality_theorem(action, part)
-            if not rep.ok:
-                failures.append((seed, part))
-        if not spectra.check_double_dual(action).ok:
+        rep = report_of(spectra.check_duality_theorem, action)
+        for claim in ("duality.coprime_equals_dual_second",
+                      "duality.dual_coprime_equals_star_second"):
+            if any(f.verdict != "pass" for f in rep.findings if f.claim == claim):
+                failures.append((seed, claim))
+        if not report_of(spectra.check_double_dual, action).ok:
             failures.append((seed, "double-dual"))
-        rep = spectra.check_spectrum_identities(action)
+        rep = report_of(spectra.check_spectrum_identities, action)
         if not rep.ok:
             failures.append((seed, "identities"))
     assert not failures, failures
@@ -282,6 +284,24 @@ def test_verify_chain_at_lattice_size_limit(tmp_path, capsys):
     assert code == 0 and "FAIL" not in out, out[-500:]
     with capsys.disabled():
         finish(f"verify on a {size}-chain lattice spec", started, 60.0)
+
+
+def test_verify_chain_poset_at_lattice_size_limit(tmp_path, capsys):
+    # The documented worst case at the limit: a chain poset of the same size
+    # acting by s.x = min(s, x), so every poset element has its own row.
+    started = time.perf_counter()
+    size = LATTICE_SIZE_LIMIT
+    lines = [f"lattice {size}"] + [f"leq {i} {i + 1}" for i in range(size - 1)]
+    lines += [f"poset {size}"] + [f"sleq {s} {s + 1}" for s in range(size - 1)]
+    lines += [f"act {s} {x} {min(s, x)}" for s in range(size) for x in range(size)]
+    spec = tmp_path / "chain-poset.spec"
+    spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["verify", "--in", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out, out[-500:]
+    with capsys.disabled():
+        finish(f"verify on a {size}-chain lattice spec with a {size}-chain poset",
+               started, 60.0)
 
 
 def verify_module_spec(tmp_path, capsys, ring, factors):

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import math
 
 import oracles
+from oracles import report_of
 import pytest
 
 from hollowlat.lattice import lower_interval
@@ -22,7 +24,6 @@ from hollowlat.modules import (
     whole_module,
 )
 from hollowlat.pshollow import (
-    HypothesisUnmet,
     check_aligned_equality,
     check_direct_sum_criteria,
     check_hull_disjoint_directness,
@@ -171,32 +172,44 @@ class TestHollowIdeals:
 
     def test_min_cover_scan(self):
         for n in (12, 30, 60):
-            rep = check_min_cover_ideals(z(n))
+            rep = report_of(check_min_cover_ideals, z(n))
             assert rep.ok and rep.findings, rep.render_text()
 
 
 class TestProfileOfSum:
     def test_comparable_inputs_rejected(self):
         m = z(12)
-        with pytest.raises(HypothesisUnmet):
-            check_profile_of_sum(cyclic(m, 6), cyclic(m, 3), frozenset({3}))
+        rep = report_of(check_profile_of_sum, cyclic(m, 6), cyclic(m, 3), frozenset({3}))
+        assert findings(rep) == [("profile_sum.(6)+(3)", UNMET, ("comparable",))]
 
     def test_klein_lines_share_family(self):
         k = klein()
         lines = [s for s in enumerate_submodules(k) if s.order == 2]
-        rep = check_profile_of_sum(lines[0], lines[1], profile(lines[0]).family)
+        rep = report_of(check_profile_of_sum, lines[0], lines[1], profile(lines[0]).family)
         assert rep.ok and rep.findings[0].verdict == PASS
 
     def test_z30_different_families(self):
         m = z(30)
-        rep = check_profile_of_sum(cyclic(m, 6), cyclic(m, 10),
-                                   profile(cyclic(m, 6)).family)
+        rep = report_of(check_profile_of_sum, cyclic(m, 6), cyclic(m, 10),
+                        profile(cyclic(m, 6)).family)
         assert rep.ok, rep.render_text()
 
     def test_family_outside_associated_ideals_rejected(self):
         m = z(30)
-        with pytest.raises(HypothesisUnmet):
-            check_profile_of_sum(cyclic(m, 6), cyclic(m, 10), frozenset({30}))
+        rep = report_of(check_profile_of_sum, cyclic(m, 6), cyclic(m, 10), frozenset({30}))
+        assert findings(rep) == [("profile_sum.(6)+(10)", UNMET, ("family-not-associated:30",))]
+
+    def test_non_ps_hollow_inputs_gate_with_every_unmet_hypothesis(self):
+        # (2) and (3) of Z_12 are incomparable, and (2) is not ps-hollow.
+        m = z(12)
+        assert profile(cyclic(m, 3)).ps_hollow and not profile(cyclic(m, 2)).ps_hollow
+        rep = report_of(check_profile_of_sum, cyclic(m, 2), cyclic(m, 3), frozenset({0, 5}))
+        assert findings(rep) == [("profile_sum.(2)+(3)", UNMET,
+                                  ("not-ps-hollow:(2)", "family-not-associated:0,5"))]
+
+    def test_different_modules_rejected(self):
+        with pytest.raises(ValueError, match="^submodules live in different modules$"):
+            report_of(check_profile_of_sum, cyclic(z(30), 6), cyclic(z(30), 10), frozenset())
 
 
 class TestRepresentations:
@@ -459,23 +472,22 @@ class TestCheckersAgainstOracle:
 
         checked = 0
         for n, k in itertools.combinations(nonzero, 2):
-            if n.members <= k.members or k.members <= n.members:
-                with pytest.raises(HypothesisUnmet, match=r"are comparable$"):
-                    check_profile_of_sum(n, k, frozenset())
+            unmet = ("comparable",) if n.members <= k.members or k.members <= n.members else ()
+            unmet += tuple(f"not-ps-hollow:{s.name}" for s in (n, k) if not hollow[s.index])
+            if unmet:
+                expected = [(f"profile_sum.{n.name}+{k.name}", UNMET, unmet)]
+                assert findings(report_of(check_profile_of_sum, n, k, frozenset())) == expected
                 continue
-            if not (hollow[n.index] and hollow[k.index]):
-                with pytest.raises(HypothesisUnmet, match="^both submodules must be ps-hollow$"):
-                    check_profile_of_sum(n, k, frozenset())
-                continue
-            with pytest.raises(HypothesisUnmet, match="^family is not drawn"):
-                check_profile_of_sum(n, k, associated | {0})
+            expected = [(f"profile_sum.{n.name}+{k.name}", UNMET, ("family-not-associated:0",))]
+            assert findings(report_of(check_profile_of_sum, n, k, associated | {0})) == expected
             for fam in {family[n.index], family[k.index]}:
                 lhs = has_family(oracle.add(n.members, k.members), fam)
                 rhs = has_family(n.members, fam) and has_family(k.members, fam)
                 expected = [(f"profile_sum.{n.name}+{k.name}.{ideal_set_name(ring, fam)}",
                              PASS if lhs == rhs else FAIL,
                              (f"sum_matches={lhs}", f"parts_match={rhs}"))]
-                assert findings(check_profile_of_sum(n, k, fam)) == expected, (n, k, fam)
+                rep = report_of(check_profile_of_sum, n, k, fam)
+                assert findings(rep) == expected, (n, k, fam)
                 checked += 1
         assert checked
 
@@ -493,7 +505,7 @@ class TestCheckersAgainstOracle:
                    if not s.is_zero and oracle.second(s.members)]
         for family in oracle.search(seconds, oracle.irredundant, 3):
             if len(family) > 1:
-                (finding,) = check_direct_sum_criteria(m, family, 1).findings
+                (finding,) = report_of(check_direct_sum_criteria, m, family, 1).findings
                 assert finding.verdict == PASS, (family, finding.witnesses)
 
     @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
@@ -513,7 +525,7 @@ class TestCheckersAgainstOracle:
         verdicts = set()
         for family in families:
             expected = second_route_reference(oracle, family)
-            assert findings(check_direct_sum_criteria(m, family, 1)) == expected, family
+            assert findings(report_of(check_direct_sum_criteria, m, family, 1)) == expected, family
             verdicts.add(expected[0][1])
         assert PASS in verdicts and UNMET in verdicts
 
@@ -523,9 +535,9 @@ class TestUniqueness:
         for n in range(2, 40):
             reps = enumerate_minimal_representations(z(n))
             for r1, r2 in itertools.combinations_with_replacement(reps, 2):
-                assert verify_first_uniqueness(r1, r2).ok
-                assert verify_second_uniqueness(r1, r2).ok
-                assert check_aligned_equality(r1, r2).ok
+                assert report_of(verify_first_uniqueness, r1, r2).ok
+                assert report_of(verify_second_uniqueness, r1, r2).ok
+                assert report_of(check_aligned_equality, r1, r2).ok
 
     def test_klein_representations_agree(self):
         reps = enumerate_minimal_representations(klein())
@@ -536,23 +548,53 @@ class TestUniqueness:
         m = z(12)
         bloated = make_representation(m, (cyclic(m, 3), cyclic(m, 4), cyclic(m, 6)))
         good = enumerate_minimal_representations(m)[0]
-        with pytest.raises(HypothesisUnmet):
-            verify_first_uniqueness(bloated, good)
-        with pytest.raises(HypothesisUnmet):
-            verify_second_uniqueness(good, bloated)
+        assert not bloated.minimal
+        for check, claim, pair in (
+                (verify_first_uniqueness, "first_uniqueness", (bloated, good)),
+                (verify_second_uniqueness, "second_uniqueness", (good, bloated)),
+                (check_aligned_equality, "aligned_equality", (good, bloated))):
+            expected = [(claim, UNMET, ("representation-not-minimal",))]
+            assert findings(report_of(check, *pair)) == expected
+
+    def test_unaligned_pairs_gate(self):
+        # Over Z/nZ a module has one minimal representation (minimize's
+        # docstring), so no battery pair reaches these gates.  The pairs here
+        # are Z_30's representation against copies of it with a summand cut,
+        # a family repeated, or a family swapped for the whole module's.
+        m = z(30)
+        (good,) = enumerate_minimal_representations(m)
+        shorter = dataclasses.replace(good, summands=good.summands[:2], profiles=good.profiles[:2])
+        for check, claim in ((verify_second_uniqueness, "second_uniqueness"),
+                             (check_aligned_equality, "aligned_equality")):
+            expected = [(claim, UNMET, ("lengths-differ",))]
+            assert findings(report_of(check, good, shorter)) == expected
+        doubled = dataclasses.replace(good, profiles=good.profiles[:2] + good.profiles[:1])
+        duplicate = ("duplicate_families_in_a_minimal_representation",)
+        assert findings(report_of(verify_second_uniqueness, good, doubled)) == [
+            ("second_uniqueness", UNMET, duplicate)]
+        assert findings(report_of(check_aligned_equality, good, doubled)) == [
+            ("aligned_equality", UNMET, duplicate)]
+        # The whole module's hull is not ps-hollow, which aligned_equality
+        # gates on before it aligns.
+        moved = dataclasses.replace(good, profiles=good.profiles[1:] + (profile(whole_module(m)),))
+        assert findings(report_of(verify_second_uniqueness, good, moved)) == [
+            ("second_uniqueness", UNMET, ("families_do_not_match;_first_uniqueness_fails",))]
+        assert findings(report_of(check_aligned_equality, good, moved)) == [
+            ("aligned_equality", UNMET, ("hull-not-ps-hollow:(1)",))]
 
     def test_different_modules_rejected(self):
         r1 = enumerate_minimal_representations(z(12))[0]
         r2 = enumerate_minimal_representations(z(30))[0]
-        with pytest.raises(HypothesisUnmet):
-            verify_first_uniqueness(r1, r2)
+        for check in (verify_first_uniqueness, verify_second_uniqueness, check_aligned_equality):
+            with pytest.raises(ValueError, match="^representations are of different modules$"):
+                report_of(check, r1, r2)
 
 
 class TestTheoremCheckers:
     def test_nonsmall_inheritance_on_z12_instances(self):
         m = z(12)
         for d in (3, 4):
-            rep = check_nonsmall_inheritance(m, cyclic(m, d))
+            rep = report_of(check_nonsmall_inheritance, m, cyclic(m, d))
             assert rep.ok, rep.render_text()
             assert all(f.verdict == PASS for f in rep.findings)
 
@@ -560,7 +602,7 @@ class TestTheoremCheckers:
         # klein lines are not small and not ideal multiples
         k = klein()
         line = next(s for s in enumerate_submodules(k) if s.order == 2)
-        rep = check_nonsmall_inheritance(k, line)
+        rep = report_of(check_nonsmall_inheritance, k, line)
         assert rep.findings[0].verdict == UNMET
 
     def test_nonsmall_hypothesis_decided_once_per_module(self, monkeypatch):
@@ -573,73 +615,75 @@ class TestTheoremCheckers:
                             lambda k: calls.append(k.index) or is_small(k))
         subs = [s for s, _ in find_ps_hollow_submodules(m)]
         assert len(subs) > 1
-        first = check_nonsmall_inheritance(m, subs[0])
+        first = report_of(check_nonsmall_inheritance, m, subs[0])
         assert calls
         calls.clear()
-        rest = [check_nonsmall_inheritance(m, s) for s in subs[1:]]
+        rest = [report_of(check_nonsmall_inheritance, m, s) for s in subs[1:]]
         assert calls == []
         assert first.findings[0].verdict == UNMET
         for sub, rep in zip(subs, [first, *rest]):
             fresh = FiniteModule(Ring(12), [12, 6])
-            again = check_nonsmall_inheritance(fresh, enumerate_submodules(fresh)[sub.index])
+            again = report_of(check_nonsmall_inheritance, fresh,
+                              enumerate_submodules(fresh)[sub.index])
             assert rep.render_text() == again.render_text()
 
     def test_semisimple_equivalences_z30(self):
-        rep = check_semisimple_equivalences(z(30))
+        rep = report_of(check_semisimple_equivalences, z(30))
         assert rep.findings[0].verdict == PASS
 
     def test_semisimple_equivalences_gate_z12(self):
-        rep = check_semisimple_equivalences(z(12))
+        rep = report_of(check_semisimple_equivalences, z(12))
         assert rep.findings[0].verdict == UNMET
 
     def test_semisimple_equivalences_klein(self):
         # one maximal second submodule (the whole), so separation holds
         # vacuously; all four conditions are false, which still agrees
-        rep = check_semisimple_equivalences(klein())
+        rep = report_of(check_semisimple_equivalences, klein())
         assert rep.findings[0].verdict == PASS
         assert all(w.endswith("False") for w in rep.findings[0].witnesses)
 
     def test_second_rep_equivalences_z30(self):
-        rep = check_second_rep_equivalences(z(30))
+        rep = report_of(check_second_rep_equivalences, z(30))
         assert rep.ok
         assert rep.findings[-1].verdict == PASS
 
     def test_direct_sum_second_route_z30(self):
         m = z(30)
         summands = tuple(cyclic(m, d) for d in (10, 6, 15))
-        rep = check_direct_sum_criteria(m, summands, 1)
+        rep = report_of(check_direct_sum_criteria, m, summands, 1)
         assert rep.findings[0].verdict == PASS, rep.render_text()
 
     def test_direct_sum_second_route_gates_on_z12(self):
         m = z(12)
-        rep = check_direct_sum_criteria(m, (cyclic(m, 3), cyclic(m, 4)), 1)
+        rep = report_of(check_direct_sum_criteria, m, (cyclic(m, 3), cyclic(m, 4)), 1)
         assert rep.findings[0].verdict == UNMET
 
     def test_direct_sum_distributive_route(self):
         for n in (12, 30, 60, 72, 180):
             m = z(n)
             summands = tuple(cyclic(m, d) for d in prime_power_complements(n))
-            rep = check_direct_sum_criteria(m, summands, 2)
+            rep = report_of(check_direct_sum_criteria, m, summands, 2)
             assert rep.findings[-1].verdict == PASS, (n, rep.render_text())
 
     def test_distributive_route_gates_on_klein(self):
         k = klein()
-        rep = check_direct_sum_criteria(k, (whole_module(k),), 2)
+        rep = report_of(check_direct_sum_criteria, k, (whole_module(k),), 2)
         assert rep.findings[-1].verdict == UNMET  # klein is not distributive
 
     def test_hull_disjoint_directness(self):
         for n in (12, 30, 60):
             rep = enumerate_minimal_representations(z(n))[0]
-            out = check_hull_disjoint_directness(rep.module, rep)
+            out = report_of(check_hull_disjoint_directness, rep.module, rep)
             assert out.findings[0].verdict == PASS, (n, out.render_text())
 
     def test_hull_inheritance_directness(self):
         m30 = z(30)
         rep30 = enumerate_minimal_representations(m30)[0]
-        assert check_hull_inheritance_directness(m30, rep30).findings[0].verdict == PASS
+        assert report_of(check_hull_inheritance_directness, m30, rep30).findings[0].verdict == PASS
         m12 = z(12)
         rep12 = enumerate_minimal_representations(m12)[0]
-        assert check_hull_inheritance_directness(m12, rep12).findings[0].verdict == UNMET
+        rep = report_of(check_hull_inheritance_directness, m12, rep12)
+        assert rep.findings[0].verdict == UNMET
 
     def test_lemma_properties_on_fixture_modules(self):
         # minimal covers are hollow ideals and every submodule sits in its hull

@@ -45,3 +45,37 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno}:{name}" for name in names if name not in named]
     assert unused == []
+
+
+def test_checkers_write_into_the_report_they_are_given():
+    # Every theorem checker takes the Report it writes into as its last
+    # argument, builds none of its own, returns nothing, and raises only
+    # ValueError, on misuse: an unmet hypothesis is a gate finding.
+    broken, checkers = [], []
+    for name in ("spectra.py", "pshollow.py"):
+        tree = ast.parse((SOURCE / name).read_text(), filename=name)
+        for fn in tree.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith(("check_", "verify_"))):
+                continue
+            checkers.append(fn.name)
+            params = fn.args.posonlyargs + fn.args.args
+            if not params or params[-1].arg != "report":
+                broken.append(f"{fn.name}: last parameter is not report")
+            # A helper defined inside the checker may return its own values.
+            inner = {id(node) for helper in ast.walk(fn) if helper is not fn
+                     and isinstance(helper, (ast.FunctionDef, ast.Lambda))
+                     for node in ast.walk(helper)}
+            for node in ast.walk(fn):
+                if id(node) in inner:
+                    continue
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "Report"):
+                    broken.append(f"{fn.name}:{node.lineno}: builds a Report")
+                elif isinstance(node, ast.Return) and node.value is not None:
+                    broken.append(f"{fn.name}:{node.lineno}: returns a value")
+                elif isinstance(node, ast.Raise) and not (
+                        isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
+                        and node.exc.func.id == "ValueError"):
+                    broken.append(f"{fn.name}:{node.lineno}: raises other than ValueError")
+    assert len(checkers) == 14, checkers
+    assert broken == []

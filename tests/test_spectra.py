@@ -4,6 +4,7 @@ import itertools
 import random
 
 import oracles
+from oracles import report_of
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,11 @@ seeds = st.integers(min_value=0, max_value=10**9)
 
 # The submodule lattices the interval fold is checked on besides the reference actions.
 INTERVAL_MODULES = ((12, (12,)), (2, (2, 2, 2)), (6, (6, 6)), (12, (12, 6)), (360, (360,)))
+
+
+def claims(report, prefix):
+    """The findings of report whose claim starts with prefix."""
+    return [f for f in report.findings if f.claim.startswith(prefix)]
 
 
 def names(module, ids):
@@ -161,33 +167,36 @@ class TestDualityChecks:
     @settings(max_examples=60, deadline=None)
     @given(seeds)
     def test_coprime_second_duality(self, seed):
-        act = random_instance(seed)
-        assert check_duality_theorem(act, 1).ok
-        assert check_duality_theorem(act, 2).ok
+        rep = report_of(check_duality_theorem, random_instance(seed))
+        for claim in ("duality.coprime_equals_dual_second",
+                      "duality.dual_coprime_equals_star_second"):
+            assert [f.verdict for f in claims(rep, claim)] == ["pass"], rep.render_text()
 
     @settings(max_examples=30, deadline=None)
     @given(seeds)
     def test_quotient_first_parts(self, seed):
-        act = random_instance(seed)
-        assert check_duality_theorem(act, 3).ok
-        assert check_duality_theorem(act, 4).ok
+        rep = report_of(check_duality_theorem, random_instance(seed))
+        assert rep.ok, rep.render_text()
 
     @settings(max_examples=60, deadline=None)
     @given(seeds)
     def test_identities(self, seed):
-        rep = check_spectrum_identities(random_instance(seed))
+        rep = report_of(check_spectrum_identities, random_instance(seed))
         assert rep.ok, rep.render_text()
 
     @settings(max_examples=60, deadline=None)
     @given(seeds)
     def test_double_dual(self, seed):
-        assert check_double_dual(random_instance(seed)).ok
+        assert report_of(check_double_dual, random_instance(seed)).ok
 
     def test_part4_gates_without_join_distributivity(self):
         m3 = build_lattice(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         act = make_action(m3, build_poset(1, []), [[0, 1, 0, 0, 1]])
-        rep = check_duality_theorem(act, 4)
-        assert rep.findings[0].verdict == "hypothesis-unmet"
+        rep = report_of(check_duality_theorem, act)
+        (part4,) = claims(rep, "duality.prime_iff_quotient_first")
+        assert part4 == rep.findings[-1]
+        assert part4.verdict == "hypothesis-unmet"
+        assert part4.witnesses == ("join-distributivity-fails",)
 
     def test_parts_3_and_4_fold_each_quotient_once(self, monkeypatch):
         # Every non-top element of a chain under the identity action is prime,
@@ -205,22 +214,29 @@ class TestDualityChecks:
 
         monkeypatch.setattr(spectra, "_violations", counting)
         act = trivial_action(chain(12))
-        rep3, rep4 = check_duality_theorem(act, 3), check_duality_theorem(act, 4)
-        assert rep3.ok and rep4.ok
-        assert len(rep3.findings) == len(rep4.findings) == 11
+        rep = report_of(check_duality_theorem, act)
+        assert rep.ok
+        assert len(claims(rep, "duality.prime_quotient_all_first.")) == 11
+        assert len(claims(rep, "duality.prime_iff_quotient_first.")) == 11
         assert calls == collections.Counter(range(11))
 
     @pytest.mark.parametrize("ring,factors", [(360, (360,)), (2, (2, 2, 2)), (8, (8, 4))])
     def test_part3_builds_no_bound_table(self, monkeypatch, ring, factors):
         # The prime and first folds read joins with low off the up rows, so
         # part 3 on a fresh bridge, whose tables are built on first read,
-        # builds neither the meet nor the join table.
+        # builds neither the meet nor the join table.  Part 3 is the prime
+        # spectrum and one quotient fold per prime, asked here as the checker
+        # asks them; parts 1 and 2 build the dual's tables.
         built, build = [], lattice._bound_table
         monkeypatch.setattr(lattice, "_bound_table",
                             lambda rows: built.append(len(rows)) or build(rows))
         act = submodule_lattice(FiniteModule(Ring(ring), factors))[1]
-        assert check_duality_theorem(act, 3).ok
+        for x in spectrum(act, "prime"):
+            firsts, expected = spectra._quotient_firsts(act, x)
+            assert firsts == expected
         assert built == []
+        rep = report_of(check_duality_theorem, act)
+        assert rep.ok and claims(rep, "duality.prime_quotient_all_first.")
 
     def test_module_verify_scans_join_distributivity_once(self, monkeypatch):
         # The bridge action is asked twice, for bridge.join_distributive and for
