@@ -292,20 +292,20 @@ def module_battery(module: FiniteModule) -> Report:
         ph.check_aligned_equality(r1, r2, report)
 
     for sub, _ in found:
-        ph.check_nonsmall_inheritance(module, sub, report)
+        ph.check_nonsmall_inheritance(sub, report)
     ph.check_semisimple_equivalences(module, report)
     ph.check_second_rep_equivalences(module, report)
 
     second_reps = find_minimal_second_representations(module)
     if second_reps:
         for sr in second_reps:
-            ph.check_direct_sum_criteria(module, sr, 1, report)
+            ph.check_direct_sum_criteria(module, sr, report)
     else:
         report.gate("direct_sum.second_route", "not-second-representable")
     for rep in reps:
-        ph.check_direct_sum_criteria(module, rep.summands, 2, report)
-        ph.check_hull_disjoint_directness(module, rep, report)
-        ph.check_hull_inheritance_directness(module, rep, report)
+        ph.check_distributive_directness(rep, report)
+        ph.check_hull_disjoint_directness(rep, report)
+        ph.check_hull_inheritance_directness(rep, report)
     return report
 
 

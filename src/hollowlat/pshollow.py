@@ -16,17 +16,17 @@ Z/nZ that always ends at the primary decomposition, the only minimal
 representation, as its docstring proves.
 
 The check_* and verify_* functions verify the structural laws of this
-theory on concrete modules.  Each takes the Report it writes into as its last
-argument and returns nothing.  Each first decides its hypotheses by brute
-force, and an unmet hypothesis is a hypothesis-unmet finding, never an
-exception; mathematical failures become fail verdicts with witnesses.  Only
-misuse raises ValueError: inputs from two different modules, or an unknown
-part.  The checkers take submodules, but decide every instance on lattice
-indices: they read the module's lattice and action once, inclusion is one
-bit of an up row, sums and intersections are join and meet table lookups,
-zero is the bottom, annihilators are a per-index table, and ps-hollow and
-second are one bit of a spectrum mask.  Names and ideals are built only for
-the strings a report prints.
+theory on concrete modules.  Each takes its subject once (a module, a
+submodule, a pair, a representation, or a module and its summands), then the
+Report it writes into, and returns nothing.  Unmet hypotheses are
+hypothesis-unmet findings, never exceptions; mathematical failures become
+fail verdicts with witnesses.  Only misuse, inputs from two different
+modules, raises ValueError.  The checkers take submodules, but decide every
+instance on lattice indices: they read the module's lattice and action once,
+inclusion is one bit of an up row, sums and intersections are join and meet
+table lookups, zero is the bottom, annihilators are a per-index table, and
+ps-hollow and second are one bit of a spectrum mask.  Names and ideals are
+built only for the strings a report prints.
 """
 
 from __future__ import annotations
@@ -441,16 +441,17 @@ def _nonsmall_outside_images(module) -> tuple[str, ...]:
                  if k.index not in images and not is_small(k))
 
 
-def check_nonsmall_inheritance(module, sub: Submodule, report: Report) -> None:
+def check_nonsmall_inheritance(sub: Submodule, report: Report) -> None:
     """Non-small submodules of a ps-hollow submodule inherit its profile.
 
-    Hypotheses: sub is ps-hollow, and every non-small submodule of the module
-    is an ideal multiple of it.  Conclusion, for every K <= sub that is not
-    small inside sub: K is ps-hollow with the same covering family, and its
-    full covering-ideal set agrees with that of sub.
+    Hypotheses: sub is ps-hollow, and every non-small submodule of sub's
+    module is an ideal multiple of it.  Conclusion, for every K <= sub that is
+    not small inside sub: K is ps-hollow with the same covering family, and
+    its full covering-ideal set agrees with that of sub.
     """
     report.flag(NONSMALL_READING_FLAG)
     claim = f"nonsmall_inheritance.{sub.name}"
+    module = sub.module
     subs, lat, act = _bridge(module)
     x = sub.index
     unmet = []
@@ -556,28 +557,28 @@ def _is_direct(module, summands) -> bool:
     return math.prod(s.order for s in summands) == module.size
 
 
-def _gate_or_check_direct(report: Report, claim: str, unmet, module, summands) -> None:
+def _gate_or_check_direct(claim: str, unmet, representation: Representation,
+                          report: Report) -> None:
     """Gate the claim on the unmet hypotheses, or else check that the sum is direct."""
     if unmet:
         report.gate(claim, *unmet)
     else:
-        report.check(claim, _is_direct(module, summands),
+        summands = representation.summands
+        report.check(claim, _is_direct(representation.module, summands),
                      f"orders={'x'.join(str(s.order) for s in summands)}",
-                     f"module={module.size}")
+                     f"module={representation.module.size}")
 
 
-def check_direct_sum_criteria(module, summands, part: int, report: Report) -> None:
-    """Two sufficient criteria for a representation to be a direct sum.
+def check_direct_sum_criteria(module, summands, report: Report) -> None:
+    """An irredundant second representation is direct exactly when pairwise zero.
 
-    Part 1 applies to an irredundant second representation with incomparable
-    attached annihilators whose summand-vs-rest intersections are zero or
-    ps-hollow; it checks that directness is equivalent to pairwise zero
-    intersections.  Part 2 applies to a minimal hollow representation of a
-    distributive module in which every submodule of a summand is zero,
-    strongly irreducible inside the summand, or shares the summand's covering
-    family; it checks that the sum is direct.
+    It applies to an irredundant family of second submodules that sums to the
+    module, with incomparable attached annihilators and summand-vs-rest
+    intersections that are zero or ps-hollow; it checks that directness is
+    equivalent to pairwise zero intersections.  A summand of another module
+    raises ValueError.
 
-    Over Z/nZ, part 1's gates attached-annihilators-comparable and
+    Over Z/nZ, the gates attached-annihilators-comparable and
     rest-intersection-not-ps-hollow never fire once the others pass; both stay
     as the theorem's hypotheses.  A second submodule is an elementary abelian
     p-group with annihilator (p), so attached annihilators are comparable only
@@ -587,76 +588,91 @@ def check_direct_sum_criteria(module, summands, part: int, report: Report) -> No
     projecting X <= dM + Y to M_p gives X <= Y.  So X is zero or ps-hollow.
     """
     summands = tuple(summands)
-    if part not in (1, 2):
-        raise ValueError("part must be 1 or 2")
-    subs, lat, act = _bridge(module)
+    if any(s.module is not module for s in summands):
+        raise ValueError("summand lives in a different module")
+    claim = "direct_sum.second_route"
+    _, lat, act = _bridge(module)
     up, meets, bottom = lat.up, lat.meet_table, lat.bottom
     xs = [s.index for s in summands]
-    hollow = spectrum_mask(act, "ps_hollow")
+    rests = _rest_joins(lat, xs)
     unmet = []
     if not summands or _join_all(lat, xs) != lat.top:
         unmet.append("summands-do-not-sum-to-module")
     if bottom in xs:
         unmet.append("zero-summand")
-
-    if part == 1:
-        claim = "direct_sum.second_route"
-        rests = _rest_joins(lat, xs)
-        if not unmet:
-            second = spectrum_mask(act, "second")
-            if not all(second >> x & 1 for x in xs):
-                unmet.append("summands-not-all-second")
-            if any(up[x] >> rest & 1 for x, rest in zip(xs, rests)):
-                unmet.append("redundant-summand")
-            if not _annihilators_incomparable(_annihilator_divisors(module, xs)):
-                unmet.append("attached-annihilators-comparable")
-        if not unmet:
-            for s, x, rest in zip(summands, xs, rests):
-                inter = meets[x][rest]
-                if inter != bottom and not hollow >> inter & 1:
-                    unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
-        if unmet:
-            report.gate(claim, *unmet)
-            return
-        direct = _is_direct(module, summands)
-        pairwise = all(meets[a][b] == bottom for a, b in itertools.combinations(xs, 2))
-        report.check(claim, direct == pairwise,
-                     f"direct={direct}", f"pairwise_zero={pairwise}")
+    if not unmet:
+        second = spectrum_mask(act, "second")
+        if not all(second >> x & 1 for x in xs):
+            unmet.append("summands-not-all-second")
+        if any(up[x] >> rest & 1 for x, rest in zip(xs, rests)):
+            unmet.append("redundant-summand")
+        if not _annihilators_incomparable(_annihilator_divisors(module, xs)):
+            unmet.append("attached-annihilators-comparable")
+    if not unmet:
+        hollow = spectrum_mask(act, "ps_hollow")
+        for s, x, rest in zip(summands, xs, rests):
+            inter = meets[x][rest]
+            if inter != bottom and not hollow >> inter & 1:
+                unmet.append(f"rest-intersection-not-ps-hollow:{s.name}")
+    if unmet:
+        report.gate(claim, *unmet)
         return
+    direct = _is_direct(module, summands)
+    pairwise = all(meets[a][b] == bottom for a, b in itertools.combinations(xs, 2))
+    report.check(claim, direct == pairwise, f"direct={direct}", f"pairwise_zero={pairwise}")
 
+
+def check_distributive_directness(representation: Representation, report: Report) -> None:
+    """A minimal representation of a distributive module is direct when every
+    submodule of a summand is zero, strongly irreducible inside the summand, or
+    ps-hollow with the summand's covering family.
+
+    The representation is a family of nonzero ps-hollow submodules that sums
+    to the module (make_representation), so the hypotheses left are
+    distributivity, minimality and the submodule alternative.
+
+    Over R = Z/nZ, on a minimal representation, the route passes exactly on
+    cyclic modules and gates not-distributive on every other module.  The
+    submodules of M are its subgroups, and a finite abelian group has a
+    distributive subgroup lattice exactly when it is cyclic (Ore, Duke Math.
+    J. 4, 1938), so a non-cyclic M gates not-distributive.  Let M be cyclic.
+    Its only minimal representation is its primary decomposition, the sum of
+    its p-parts M_p (minimize's docstring).  M_p is cyclic of order p^k, so
+    [0, M_p] is a chain, and in a chain A meet B = min(A, B) <= X forces
+    A <= X or B <= X: every element below M_p is strongly irreducible inside
+    it.  The one element left is M_p itself, which is ps-hollow with its own
+    family, so submodule-alternative-fails never fires.  The M_p are
+    independent, so the sum is direct and the check passes.  The gate stays
+    as the theorem's hypothesis.
+    """
     claim = "direct_sum.distributive_route"
     report.flag(INNER_IRREDUCIBLE_FLAG)
+    module = representation.module
+    subs, lat, act = _bridge(module)
+    unmet = [] if is_distributive_module(module) else ["not-distributive"]
+    if not representation.minimal:
+        unmet.append("representation-not-minimal")
     if not unmet:
-        if not is_distributive_module(module):
-            unmet.append("not-distributive")
-        if any(not hollow >> x & 1 for x in xs):
-            unmet.append("summand-not-ps-hollow")
-        elif minimality_witnesses(module, summands):
-            unmet.append("representation-not-minimal")
-    if not unmet:
-        for s, x in zip(summands, xs):
-            fam = _profile(module, x).family
+        hollow, bottom = spectrum_mask(act, "ps_hollow"), lat.bottom
+        for s, prof in zip(representation.summands, representation.profiles):
             # The nonzero y <= s not strongly irreducible in the interval [0, s],
             # by submodule index, and s itself, its top, outside that domain.
-            failing = _violations(act, "strongly_irreducible", bottom, x) | 1 << x
+            failing = _violations(act, "strongly_irreducible", bottom, s.index) | 1 << s.index
             for y in _bits(failing & ~(1 << bottom)):
-                if hollow >> y & 1 and _profile(module, y).family == fam:
+                if hollow >> y & 1 and _profile(module, y).family == prof.family:
                     continue
                 unmet.append(f"submodule-alternative-fails:{subs[y].name}-in-{s.name}")
-    _gate_or_check_direct(report, claim, unmet, module, summands)
+    _gate_or_check_direct(claim, unmet, representation, report)
 
 
-def check_hull_disjoint_directness(module, representation: Representation,
-                                   report: Report) -> None:
+def check_hull_disjoint_directness(representation: Representation, report: Report) -> None:
     """Minimal representation with hereditary ps-hollow summands and disjoint hulls
     is a direct sum."""
     claim = "hull_disjoint_direct"
-    subs, lat, act = _bridge(module)
+    subs, lat, act = _bridge(representation.module)
     # Every nonzero submodule that is not ps-hollow: zero's bit is clear in the mask.
     not_hollow = ~spectrum_mask(act, "ps_hollow") & ~(1 << lat.bottom)
-    unmet = []
-    if not representation.minimal:
-        unmet.append("representation-not-minimal")
+    unmet = [] if representation.minimal else ["representation-not-minimal"]
     for s in representation.summands:
         bad = [subs[x].name for x in _bits(lat.down[s.index] & not_hollow)]
         if bad:
@@ -664,23 +680,19 @@ def check_hull_disjoint_directness(module, representation: Representation,
     for p, q in itertools.combinations(representation.profiles, 2):
         if lat.meet_table[p.hull.index][q.hull.index] != lat.bottom:
             unmet.append(f"hulls-overlap:{p.hull.name}&{q.hull.name}")
-    _gate_or_check_direct(report, claim, unmet, module, representation.summands)
+    _gate_or_check_direct(claim, unmet, representation, report)
 
 
-def check_hull_inheritance_directness(module, representation: Representation,
-                                      report: Report) -> None:
+def check_hull_inheritance_directness(representation: Representation, report: Report) -> None:
     """Minimal representation whose hulls pass their family to all nonzero
     submodules is a direct sum."""
     claim = "hull_inheritance_direct"
+    module = representation.module
     subs, lat, act = _bridge(module)
     hollow = spectrum_mask(act, "ps_hollow")
-    unmet = []
-    if not representation.minimal:
-        unmet.append("representation-not-minimal")
+    unmet = [] if representation.minimal else ["representation-not-minimal"]
     for prof in representation.profiles:
-        for x in _bits(lat.down[prof.hull.index]):
-            if x == lat.bottom:
-                continue
+        for x in _bits(lat.down[prof.hull.index] & ~(1 << lat.bottom)):
             if not hollow >> x & 1 or _profile(module, x).family != prof.family:
                 unmet.append(f"hull-submodule-breaks-family:{subs[x].name}-in-{prof.hull.name}")
-    _gate_or_check_direct(report, claim, unmet, module, representation.summands)
+    _gate_or_check_direct(claim, unmet, representation, report)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import reduce
 
 from .lattice import (
@@ -209,22 +208,17 @@ def spectrum(action: PosetAction, kind: str) -> tuple[int, ...]:
     return tuple(_bits(spectrum_mask(action, kind)))
 
 
-@dataclass(frozen=True)
-class Variety:
-    base: int
-    members: frozenset[int]
-
-
-def variety(lattice: FiniteLattice, designated: frozenset[int] | set[int], a: int) -> Variety:
+def variety(lattice: FiniteLattice, designated: frozenset[int] | set[int],
+            a: int) -> frozenset[int]:
     """Elements of the designated set lying above a."""
     if lattice.top in designated:
         raise DomainError("designated set may not contain the top element")
-    return Variety(a, frozenset(p for p in designated if lattice.le(a, p)))
+    return frozenset(p for p in designated if lattice.le(a, p))
 
 
 def is_topological(lattice: FiniteLattice, designated: frozenset[int] | set[int]) -> bool:
     """Whether the varieties over the designated set are closed under pairwise union."""
-    varieties = [variety(lattice, designated, a).members for a in range(lattice.size)]
+    varieties = [variety(lattice, designated, a) for a in range(lattice.size)]
     distinct = set(varieties)
     return all(u | v in distinct for u, v in itertools.combinations_with_replacement(distinct, 2))
 

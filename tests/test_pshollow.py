@@ -16,6 +16,7 @@ from hollowlat.modules import (
     enumerate_submodules,
     find_minimal_second_representations,
     find_second_submodules,
+    is_distributive_module,
     is_hollow_module,
     is_small,
     span,
@@ -26,6 +27,7 @@ from hollowlat.modules import (
 from hollowlat.pshollow import (
     check_aligned_equality,
     check_direct_sum_criteria,
+    check_distributive_directness,
     check_hull_disjoint_directness,
     check_hull_inheritance_directness,
     check_min_cover_ideals,
@@ -453,8 +455,95 @@ def second_route_reference(oracle, summands):
              (f"direct={direct}", f"pairwise_zero={pairwise}"))]
 
 
+def directness_references(oracle, rep):
+    """The findings of the three representation-directness checkers on rep, from member sets.
+
+    Submodules are walked in index order and named as the package names them;
+    every predicate, sum, hull and covering family is the oracle's.
+    """
+    named = [(s.name, s.members) for s in enumerate_submodules(oracle.module)[1:]]
+    name_of = {a: name for name, a in named}
+    sets = [s.members for s in rep.summands]
+    hulls = [oracle.hull(a) for a in sets]
+
+    def below(top):
+        return [(name, a) for name, a in named if a <= top]
+
+    def keeps_family(a, summand):
+        return oracle.ps_hollow(a) and oracle.min_covers(a) == oracle.min_covers(summand)
+
+    minimal = oracle.irredundant(rep.summands) and oracle.hulls_pairwise_incomparable(rep.summands)
+    not_minimal = [] if minimal else ["representation-not-minimal"]
+    distributive = ([] if oracle.distributive() else ["not-distributive"]) + not_minimal
+    if not distributive:
+        for s, top in zip(rep.summands, sets):
+            for name, a in below(top):
+                inner = a != top and oracle.strongly_irreducible_within(a, top)
+                if not inner and not keeps_family(a, top):
+                    distributive.append(f"submodule-alternative-fails:{name}-in-{s.name}")
+    disjoint = list(not_minimal)
+    for s, top in zip(rep.summands, sets):
+        bad = [name for name, a in below(top) if not oracle.ps_hollow(a)]
+        if bad:
+            disjoint.append(f"submodules-of-{s.name}-not-all-ps-hollow:" + ",".join(bad))
+    for h, k in itertools.combinations(hulls, 2):
+        if h & k != oracle.zero:
+            disjoint.append(f"hulls-overlap:{name_of[h]}&{name_of[k]}")
+    inheritance = list(not_minimal)
+    for top, h in zip(sets, hulls):
+        inheritance += [f"hull-submodule-breaks-family:{name}-in-{name_of[h]}"
+                        for name, a in below(h) if not keeps_family(a, top)]
+    direct = math.prod(map(len, sets)) == oracle.module.size
+    orders = ("orders=" + "x".join(str(len(a)) for a in sets), f"module={oracle.module.size}")
+
+    def finding(claim, unmet):
+        if unmet:
+            return [(claim, UNMET, tuple(unmet))]
+        return [(claim, PASS if direct else FAIL, orders)]
+
+    return {check_distributive_directness: finding("direct_sum.distributive_route", distributive),
+            check_hull_disjoint_directness: finding("hull_disjoint_direct", disjoint),
+            check_hull_inheritance_directness: finding("hull_inheritance_direct", inheritance)}
+
+
+# Every module whose representations the directness checkers are compared on:
+# CHECKER_MODULES and Z_n for n <= 60.
+DIRECTNESS_MODULES = CHECKER_MODULES + [(n, (n,)) for n in range(2, 61)]
+
+
 class TestCheckersAgainstOracle:
     """The index-based checkers against their statements on member sets."""
+
+    @pytest.mark.parametrize("ring,factors", DIRECTNESS_MODULES,
+                             ids=[module_id(c) for c in DIRECTNESS_MODULES])
+    def test_representation_directness_matches_member_sets(self, ring, factors):
+        # Every minimal representation, then every family of one to three
+        # ps-hollow submodules that sums to the module, most of them not
+        # minimal, built with make_representation.
+        m = FiniteModule(Ring(ring), factors)
+        oracle = oracles.ModuleOracle(m)
+        hollows = [s for s, _ in find_ps_hollow_submodules(m)]
+        reps = list(enumerate_minimal_representations(m))
+        reps += [make_representation(m, family)
+                 for family in oracle.search(hollows, lambda family: True, 3)]
+        for rep in reps:
+            for checker, expected in directness_references(oracle, rep).items():
+                got = report_of(checker, rep)
+                assert findings(got) == expected, (checker.__name__, rep.names())
+        assert reps
+
+    def test_directness_gates_a_representation_that_is_not_minimal(self):
+        # (6) lies in (3), so Z_12's (3)+(4)+(6) is redundant, and each
+        # checker gates it representation-not-minimal first; Z_12 is
+        # distributive, so the distributive route names nothing before it.
+        m = z(12)
+        rep = make_representation(m, [cyclic(m, d) for d in (3, 4, 6)])
+        assert not rep.minimal
+        for checker in (check_distributive_directness, check_hull_disjoint_directness,
+                        check_hull_inheritance_directness):
+            (finding,) = report_of(checker, rep).findings
+            assert finding.verdict == UNMET
+            assert finding.witnesses[0] == "representation-not-minimal", checker.__name__
 
     @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
                              ids=[module_id(c) for c in CHECKER_MODULES])
@@ -505,7 +594,7 @@ class TestCheckersAgainstOracle:
                    if not s.is_zero and oracle.second(s.members)]
         for family in oracle.search(seconds, oracle.irredundant, 3):
             if len(family) > 1:
-                (finding,) = report_of(check_direct_sum_criteria, m, family, 1).findings
+                (finding,) = report_of(check_direct_sum_criteria, m, family).findings
                 assert finding.verdict == PASS, (family, finding.witnesses)
 
     @pytest.mark.parametrize("ring,factors", CHECKER_MODULES,
@@ -525,7 +614,7 @@ class TestCheckersAgainstOracle:
         verdicts = set()
         for family in families:
             expected = second_route_reference(oracle, family)
-            assert findings(report_of(check_direct_sum_criteria, m, family, 1)) == expected, family
+            assert findings(report_of(check_direct_sum_criteria, m, family)) == expected, family
             verdicts.add(expected[0][1])
         assert PASS in verdicts and UNMET in verdicts
 
@@ -590,11 +679,19 @@ class TestUniqueness:
                 report_of(check, r1, r2)
 
 
+# Z_n for n <= 120 and the 2- and 3-factor sums of order <= 256 from 2..12,
+# over the ring of their exponent.
+DISTRIBUTIVE_ROUTE_MODULES = [(n, (n,)) for n in range(2, 121)] + [
+    (math.lcm(*factors), factors) for k in (2, 3)
+    for factors in itertools.combinations_with_replacement(range(2, 13), k)
+    if math.prod(factors) <= 256]
+
+
 class TestTheoremCheckers:
     def test_nonsmall_inheritance_on_z12_instances(self):
         m = z(12)
         for d in (3, 4):
-            rep = report_of(check_nonsmall_inheritance, m, cyclic(m, d))
+            rep = report_of(check_nonsmall_inheritance, cyclic(m, d))
             assert rep.ok, rep.render_text()
             assert all(f.verdict == PASS for f in rep.findings)
 
@@ -602,7 +699,7 @@ class TestTheoremCheckers:
         # klein lines are not small and not ideal multiples
         k = klein()
         line = next(s for s in enumerate_submodules(k) if s.order == 2)
-        rep = report_of(check_nonsmall_inheritance, k, line)
+        rep = report_of(check_nonsmall_inheritance, line)
         assert rep.findings[0].verdict == UNMET
 
     def test_nonsmall_hypothesis_decided_once_per_module(self, monkeypatch):
@@ -615,16 +712,15 @@ class TestTheoremCheckers:
                             lambda k: calls.append(k.index) or is_small(k))
         subs = [s for s, _ in find_ps_hollow_submodules(m)]
         assert len(subs) > 1
-        first = report_of(check_nonsmall_inheritance, m, subs[0])
+        first = report_of(check_nonsmall_inheritance, subs[0])
         assert calls
         calls.clear()
-        rest = [report_of(check_nonsmall_inheritance, m, s) for s in subs[1:]]
+        rest = [report_of(check_nonsmall_inheritance, s) for s in subs[1:]]
         assert calls == []
         assert first.findings[0].verdict == UNMET
         for sub, rep in zip(subs, [first, *rest]):
             fresh = FiniteModule(Ring(12), [12, 6])
-            again = report_of(check_nonsmall_inheritance, fresh,
-                              enumerate_submodules(fresh)[sub.index])
+            again = report_of(check_nonsmall_inheritance, enumerate_submodules(fresh)[sub.index])
             assert rep.render_text() == again.render_text()
 
     def test_semisimple_equivalences_z30(self):
@@ -650,39 +746,67 @@ class TestTheoremCheckers:
     def test_direct_sum_second_route_z30(self):
         m = z(30)
         summands = tuple(cyclic(m, d) for d in (10, 6, 15))
-        rep = report_of(check_direct_sum_criteria, m, summands, 1)
+        rep = report_of(check_direct_sum_criteria, m, summands)
         assert rep.findings[0].verdict == PASS, rep.render_text()
 
     def test_direct_sum_second_route_gates_on_z12(self):
         m = z(12)
-        rep = report_of(check_direct_sum_criteria, m, (cyclic(m, 3), cyclic(m, 4)), 1)
+        rep = report_of(check_direct_sum_criteria, m, (cyclic(m, 3), cyclic(m, 4)))
         assert rep.findings[0].verdict == UNMET
 
     def test_direct_sum_distributive_route(self):
         for n in (12, 30, 60, 72, 180):
             m = z(n)
             summands = tuple(cyclic(m, d) for d in prime_power_complements(n))
-            rep = report_of(check_direct_sum_criteria, m, summands, 2)
+            rep = report_of(check_distributive_directness, make_representation(m, summands))
             assert rep.findings[-1].verdict == PASS, (n, rep.render_text())
 
     def test_distributive_route_gates_on_klein(self):
         k = klein()
-        rep = report_of(check_direct_sum_criteria, k, (whole_module(k),), 2)
-        assert rep.findings[-1].verdict == UNMET  # klein is not distributive
+        rep = report_of(check_distributive_directness, make_representation(k, (whole_module(k),)))
+        assert findings(rep) == [  # klein is not distributive
+            ("direct_sum.distributive_route", UNMET, ("not-distributive",))]
+
+    def test_distributive_route_passes_exactly_on_cyclic_modules(self):
+        # The theorem in check_distributive_directness's docstring: over Z/nZ
+        # each module here has one minimal representation, and the route
+        # passes on it exactly when every p-part is cyclic, that is, when the
+        # module is cyclic (Ore); every other module gates not-distributive.
+        passed = 0
+        for ring, factors in DISTRIBUTIVE_ROUTE_MODULES:
+            m = FiniteModule(Ring(ring), factors)
+            cyclic_module = all(sum(f % p == 0 for f in factors) <= 1
+                                for p in range(2, ring + 1) if ring % p == 0)
+            assert is_distributive_module(m) == cyclic_module, factors
+            (rep,) = enumerate_minimal_representations(m)
+            (finding,) = report_of(check_distributive_directness, rep).findings
+            if cyclic_module:
+                assert finding.verdict == PASS, (factors, finding.witnesses)
+                passed += 1
+            else:
+                assert (finding.verdict, finding.witnesses) == (UNMET, ("not-distributive",))
+        # 119 cyclic Z_n and 57 cyclic sums, such as Z_2 + Z_3, pass.
+        assert (len(DISTRIBUTIVE_ROUTE_MODULES), passed) == (331, 176)
+
+    def test_different_modules_rejected(self):
+        # A family of Z_30 handed to the second route with Z_12 is misuse.
+        m30 = z(30)
+        with pytest.raises(ValueError, match="^summand lives in a different module$"):
+            report_of(check_direct_sum_criteria, z(12), tuple(cyclic(m30, d) for d in (10, 6, 15)))
 
     def test_hull_disjoint_directness(self):
         for n in (12, 30, 60):
             rep = enumerate_minimal_representations(z(n))[0]
-            out = report_of(check_hull_disjoint_directness, rep.module, rep)
+            out = report_of(check_hull_disjoint_directness, rep)
             assert out.findings[0].verdict == PASS, (n, out.render_text())
 
     def test_hull_inheritance_directness(self):
         m30 = z(30)
         rep30 = enumerate_minimal_representations(m30)[0]
-        assert report_of(check_hull_inheritance_directness, m30, rep30).findings[0].verdict == PASS
+        assert report_of(check_hull_inheritance_directness, rep30).findings[0].verdict == PASS
         m12 = z(12)
         rep12 = enumerate_minimal_representations(m12)[0]
-        rep = report_of(check_hull_inheritance_directness, m12, rep12)
+        rep = report_of(check_hull_inheritance_directness, rep12)
         assert rep.findings[0].verdict == UNMET
 
     def test_lemma_properties_on_fixture_modules(self):
@@ -728,7 +852,7 @@ class TestCrossLayerConsistency:
                     if not s.is_zero and is_ps_hollow(s)} == expected, module.describe()
 
     def test_lattice_arithmetic_matches_member_sets(self):
-        from hollowlat.modules import is_distributive_module, is_small, small_within, sum_of
+        from hollowlat.modules import is_small, small_within, sum_of
         for module in self.modules():
             oracle = oracles.ModuleOracle(module)
             subs = enumerate_submodules(module)

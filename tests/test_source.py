@@ -48,10 +48,13 @@ def test_every_imported_name_is_used():
 
 
 def test_checkers_write_into_the_report_they_are_given():
-    # Every theorem checker takes the Report it writes into as its last
-    # argument, builds none of its own, returns nothing, and raises only
-    # ValueError, on misuse: an unmet hypothesis is a gate finding.
-    broken, checkers = [], []
+    # Every theorem checker takes its subject once and the Report it writes
+    # into as its last argument, builds none of its own, returns nothing, and
+    # raises only ValueError, on misuse: an unmet hypothesis is a gate
+    # finding.  No checker takes a part to select a theorem, and a module
+    # comes only alone or with the summands it is the sum of, never beside a
+    # submodule or representation that already carries one.
+    broken, checkers, with_module = [], [], []
     for name in ("spectra.py", "pshollow.py"):
         tree = ast.parse((SOURCE / name).read_text(), filename=name)
         for fn in tree.body:
@@ -61,6 +64,13 @@ def test_checkers_write_into_the_report_they_are_given():
             params = fn.args.posonlyargs + fn.args.args
             if not params or params[-1].arg != "report":
                 broken.append(f"{fn.name}: last parameter is not report")
+            names = [param.arg for param in params]
+            if "part" in names:
+                broken.append(f"{fn.name}: takes a part")
+            if "module" in names:
+                with_module.append(fn.name)
+                if names not in (["module", "report"], ["module", "summands", "report"]):
+                    broken.append(f"{fn.name}: takes a module beside {names}")
             # A helper defined inside the checker may return its own values.
             inner = {id(node) for helper in ast.walk(fn) if helper is not fn
                      and isinstance(helper, (ast.FunctionDef, ast.Lambda))
@@ -77,5 +87,8 @@ def test_checkers_write_into_the_report_they_are_given():
                         isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)
                         and node.exc.func.id == "ValueError"):
                     broken.append(f"{fn.name}:{node.lineno}: raises other than ValueError")
-    assert len(checkers) == 14, checkers
+    assert len(checkers) == 15, checkers
+    assert sorted(with_module) == ["check_direct_sum_criteria", "check_min_cover_ideals",
+                                   "check_second_rep_equivalences",
+                                   "check_semisimple_equivalences"]
     assert broken == []

@@ -149,7 +149,7 @@ class TestVarieties:
 
     def test_variety_members(self):
         lat = chain(3)
-        assert variety(lat, frozenset({0, 1}), 1).members == frozenset({1})
+        assert variety(lat, frozenset({0, 1}), 1) == frozenset({1})
 
     def test_top_element_not_designatable(self):
         lat = chain(2)
